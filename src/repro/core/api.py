@@ -33,6 +33,7 @@ from __future__ import annotations
 import random
 import threading
 import time
+from typing import Sequence
 
 from repro.core.cache import CacheStats, LRUCache
 from repro.core.locks import SingleFlight
@@ -426,27 +427,28 @@ class PerfXplainSession(PerfXplain):
     # shared-state caches
     # ------------------------------------------------------------------ #
 
-    def training_examples(self, query: str | PXQLQuery) -> list[TrainingExample]:
+    def training_examples(self, query: str | PXQLQuery) -> Sequence[TrainingExample]:
         """The (cached) training examples for a query's clause signature.
 
-        A view on the matrix cache: the encoded
-        :class:`~repro.core.examples.TrainingMatrix` owns the example list,
-        so there is exactly one cache to keep coherent.
+        The cached :class:`~repro.core.examples.TrainingMatrix` itself — a
+        read-only sequence of examples whose feature dicts are built as
+        they are read — so there is exactly one cache to keep coherent.
         """
-        return self.training_matrix(query).examples
+        return self.training_matrix(query)
 
     def training_matrix(self, query: str | PXQLQuery) -> TrainingMatrix:
         """The (cached) columnar encoding of a query's training examples.
 
-        Built end-to-end on the columnar pipeline
+        Built on the columnar pipeline
         (:func:`~repro.core.examples.construct_training_matrix`): the log's
         :class:`~repro.logs.store.RecordBlock` is encoded once per log and
         shared across every clause signature, the kernels filter the
-        candidate pairs, and the matrix is assembled straight from the
-        kernel output columns.  Keyed by the clause signature — the
-        (entity, despite, observed, expected) quadruple the examples
-        actually depend on — so N queries sharing clauses pay for one
-        construction and one global sort per numeric pair-feature column.
+        candidate pairs, and the matrix derives and encodes each pair
+        feature column the first time a technique reads it.  Keyed by the
+        clause signature — the (entity, despite, observed, expected)
+        quadruple the examples actually depend on — so N queries sharing
+        clauses pay for one construction and, per column read, one
+        derivation and one global sort.
         Entries for a record kind are discarded when the log grows (or
         changes) that kind; see the class docstring.
         """

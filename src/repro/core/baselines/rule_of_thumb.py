@@ -22,7 +22,7 @@ from repro.core.pairs import (
 )
 from repro.core.pxql.ast import Comparison, Operator, Predicate, TRUE_PREDICATE
 from repro.core.pxql.query import PXQLQuery
-from repro.core.examples import construct_training_examples, records_for_query
+from repro.core.examples import construct_training_matrix, records_for_query
 from repro.core.registry import register_explainer
 from repro.exceptions import ExplanationError
 from repro.logs.store import ExecutionLog
@@ -118,7 +118,7 @@ class RuleOfThumbExplainer:
             because=because, despite=TRUE_PREDICATE, technique=self.name
         )
         if examples is None:
-            examples = construct_training_examples(
+            examples = construct_training_matrix(
                 log, query, schema, config=self.pair_config, rng=self._rng
             )
         if examples:

@@ -12,11 +12,12 @@ scoring features.
 from __future__ import annotations
 
 import random
+from operator import add
 
 from repro.core.examples import (
-    Label,
     TrainingExample,
-    construct_training_examples,
+    TrainingMatrix,
+    construct_training_matrix,
     find_record,
     records_for_query,
 )
@@ -62,7 +63,7 @@ class SimButDiffExplainer:
         schema: FeatureSchema | None = None,
         width: int | None = None,
         auto_despite: bool = False,
-        examples: list[TrainingExample] | None = None,
+        examples: "list[TrainingExample] | TrainingMatrix | None" = None,
     ) -> Explanation:
         """Generate a width-``width`` explanation via Algorithm 2.
 
@@ -80,12 +81,13 @@ class SimButDiffExplainer:
         pair_values = compute_pair_features(first, second, schema, self.pair_config)
 
         if examples is None:
-            examples = construct_training_examples(
+            examples = construct_training_matrix(
                 log, query, schema,
                 config=self.pair_config,
                 sample_size=self.sample_size,
                 rng=self._rng,
             )
+        matrix = TrainingMatrix.of(examples)
         is_same_features = sorted(
             name
             for name in pair_values
@@ -93,8 +95,8 @@ class SimButDiffExplainer:
             and raw_feature_of(name) != PERFORMANCE_METRIC
         )
 
-        similar = self._similar_examples(examples, pair_values, is_same_features)
-        scores = self._feature_scores(similar, pair_values, is_same_features)
+        similar = self._similar_examples(matrix, pair_values, is_same_features)
+        scores = self._feature_scores(matrix, similar, pair_values, is_same_features)
 
         atoms: list[Comparison] = []
         for feature, _ in scores:
@@ -109,9 +111,9 @@ class SimButDiffExplainer:
         explanation = Explanation(
             because=because, despite=TRUE_PREDICATE, technique=self.name
         )
-        if examples:
+        if matrix:
             explanation = explanation.with_metrics(
-                evaluate_explanation(explanation, examples)
+                evaluate_explanation(explanation, matrix)
             )
         return explanation
 
@@ -121,48 +123,48 @@ class SimButDiffExplainer:
 
     def _similar_examples(
         self,
-        examples: list[TrainingExample],
+        matrix: TrainingMatrix,
         pair_values: dict,
         is_same_features: list[str],
-    ) -> list[TrainingExample]:
-        """Examples that agree with the pair of interest on >= s of the features."""
+    ) -> list[int]:
+        """Rows that agree with the pair of interest on >= s of the features."""
         if not is_same_features:
-            return list(examples)
+            return list(range(len(matrix)))
         needed = self.similarity_threshold * len(is_same_features)
-        similar = []
-        for example in examples:
-            agreements = sum(
-                1
-                for feature in is_same_features
-                if example.values.get(feature) is not None
-                and example.values.get(feature) == pair_values.get(feature)
-            )
-            if agreements >= needed:
-                similar.append(example)
-        return similar
+        agreements = [0] * len(matrix)
+        for feature in is_same_features:
+            pair_value = pair_values.get(feature)
+            agree = [
+                value is not None and value == pair_value
+                for value in matrix.values(feature)
+            ]
+            agreements = list(map(add, agreements, agree))
+        return [row for row, count in enumerate(agreements) if count >= needed]
 
     def _feature_scores(
         self,
-        similar: list[TrainingExample],
+        matrix: TrainingMatrix,
+        similar: list[int],
         pair_values: dict,
         is_same_features: list[str],
     ) -> list[tuple[str, float]]:
-        """Per-feature what-if scores, sorted decreasing."""
+        """Per-feature what-if scores over the similar rows, sorted decreasing."""
+        observed = matrix.observed
         scores: list[tuple[str, float]] = []
         for feature in is_same_features:
             pair_value = pair_values.get(feature)
             if pair_value is None:
                 continue
+            values = matrix.values(feature)
             disagreeing = [
-                example
-                for example in similar
-                if example.values.get(feature) is not None
-                and example.values.get(feature) != pair_value
+                row
+                for row in similar
+                if values[row] is not None and values[row] != pair_value
             ]
             if not disagreeing:
                 scores.append((feature, 0.0))
                 continue
-            expected = sum(1 for example in disagreeing if example.label is Label.EXPECTED)
+            expected = sum(1 for row in disagreeing if not observed[row])
             scores.append((feature, expected / len(disagreeing)))
         scores.sort(key=lambda item: (item[1], item[0]), reverse=True)
         return scores

@@ -17,14 +17,14 @@ equality is exact (nominal values and integers), not to noisy floats.
 Since the columnar refactor this module is a thin adapter over the pair
 kernels: the log's cached :class:`~repro.logs.store.RecordBlock` (layer 1)
 feeds :class:`~repro.core.pairkernel.PairKernel` (layer 2), which evaluates
-the three clauses as vectorised masks over batched candidate index pairs
-and emits the sampled pairs' feature vectors column-by-column — no per-pair
-feature dict is ever allocated while filtering.
-:func:`construct_training_matrix` extends the same pipeline one layer
-further and builds the :class:`TrainingMatrix` directly from the kernel's
-output columns.  The original pair-at-a-time dict path is preserved
-verbatim in :mod:`repro.core.pairref` (mirroring :mod:`repro.ml.rowpath`)
-as the reference implementation the differential suite checks this pipeline
+the three clauses as vectorised masks over batched candidate index pairs —
+no per-pair feature dict is ever allocated while filtering.
+:func:`construct_training_matrix` keeps the balanced sample as index pairs
+in a :class:`TrainingMatrix`, which derives the sampled pairs' feature
+columns through the kernel only when a technique first reads them.  The
+original pair-at-a-time dict path is preserved verbatim in
+:mod:`repro.core.pairref` (mirroring :mod:`repro.ml.rowpath`) as the
+reference implementation the differential suite checks this pipeline
 against.
 """
 
@@ -32,17 +32,20 @@ from __future__ import annotations
 
 import enum
 import random
+import threading
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
+from operator import and_
 from typing import Iterator, Sequence
 
-from repro.ml.matrix import FeatureMatrix
+from repro.ml.matrix import FeatureColumn, FeatureMatrix
 
 from repro.core.features import FeatureSchema, FeatureLevel
 from repro.core.pairkernel import (
     PairContext,
     PairKernel,
     blocking_group_indices,
+    derived_names,
     keep_limit,
     sampling_salt,
 )
@@ -57,7 +60,7 @@ from repro.core.pxql.ast import Operator, Predicate
 from repro.core.pxql.query import EntityKind, PXQLQuery
 from repro.exceptions import ExplanationError
 from repro.logs.records import ExecutionRecord, FeatureValue
-from repro.logs.store import ExecutionLog, RecordBlock
+from repro.logs.store import ExecutionLog
 
 
 class Label(enum.Enum):
@@ -290,112 +293,187 @@ def _sampled_index_pairs(
     return firsts, seconds, labels
 
 
-def _full_vector_columns(
-    kernel: PairKernel,
-    firsts: Sequence[int],
-    seconds: Sequence[int],
-) -> list[tuple[str, list]]:
-    """Every FULL-level derived column over the sampled pairs, in order.
+#: Observed flag -> label.
+_LABELS = (Label.EXPECTED, Label.OBSERVED)
 
-    The kernel's config ``level`` only gates clause evaluation; column
-    derivation takes the level explicitly, so the caller's kernel serves
-    both.  Emission order matches the reference's per-pair dict
-    construction (sorted raw features, ``isSame``/``compare``/``diff``/base
-    per raw), so name collisions between a raw feature and a derived name
-    resolve to the same final column.
+
+def _pair_feature_owners(schema: FeatureSchema) -> dict[str, str]:
+    """Pair-feature name -> the raw feature whose derivation supplies it.
+
+    Keys follow the reference's per-pair dict construction (sorted raw
+    features, each emitting its full-level
+    :func:`~repro.core.pairkernel.derived_names`), so the key order is
+    every example vector's key order.  A name emitted twice — a raw feature
+    named like another raw feature's derived column — belongs to the later
+    emission, exactly as the later dict write wins.
     """
-    ctx = PairContext(list(firsts), list(seconds))
-    columns: list[tuple[str, list]] = []
-    for raw in kernel.block.schema.names():
-        columns.extend(kernel.derived_columns(ctx, raw, FeatureLevel.FULL))
-    return columns
+    owners: dict[str, str] = {}
+    for raw in schema.names():
+        for name, _ in derived_names(raw, FeatureLevel.FULL):
+            owners[name] = raw
+    return owners
 
 
-def _build_examples(
-    block: RecordBlock,
-    columns: Sequence[tuple[str, list]],
-    firsts: Sequence[int],
-    seconds: Sequence[int],
-    labels: Sequence[Label],
-) -> list[TrainingExample]:
-    """Assemble `TrainingExample`s from column-wise kernel output."""
-    vectors: list[dict[str, FeatureValue]] = [{} for _ in firsts]
-    for name, values in columns:
-        for vector, value in zip(vectors, values):
-            vector[name] = value
-    ids = block.ids
-    return [
-        TrainingExample(
-            first_id=ids[index_a],
-            second_id=ids[index_b],
-            values=vector,
-            label=label,
-        )
-        for index_a, index_b, vector, label in zip(firsts, seconds, vectors, labels)
-    ]
+def _encoding_of(
+    schema: FeatureSchema, config: PairFeatureConfig, feature_level: FeatureLevel
+) -> tuple[dict[str, bool], tuple]:
+    """The explainer's searchable catalog and the parameters it was built under.
 
-
-def construct_training_examples(
-    log: ExecutionLog,
-    query: PXQLQuery,
-    schema: FeatureSchema,
-    config: PairFeatureConfig | None = None,
-    sample_size: int | None = 2000,
-    rng: random.Random | None = None,
-    max_candidate_pairs: int | None = 2_000_000,
-    workers: int = 1,
-) -> list[TrainingExample]:
-    """Construct (and balanced-sample) the training examples for a query.
-
-    This corresponds to lines 1-2 of Algorithm 1: collect the related pairs,
-    then keep a balanced sample of at most ``sample_size`` of them.  Full
-    pair-feature vectors are only computed for the sampled pairs — and
-    column-at-a-time through the pair kernels, never per pair.
-
-    :param workers: process-shard the candidate filtering across this many
-        forked workers (results are bit-identical for every count).
-    :returns: the sampled training examples (possibly empty if no pair in
-        the log is related to the query).
+    The catalog is every pair feature the explainer may cite
+    (performance-derived features excluded, level capped at
+    ``feature_level``) mapped to "is numeric", in catalog order.
     """
-    config = config if config is not None else PairFeatureConfig()
-    rng = rng if rng is not None else random.Random(0)
-    validate_query_features(query, schema)
-    kernel = pair_kernel_for(log, query, schema, config)
-    firsts, seconds, labels = _sampled_index_pairs(
-        kernel, query, sample_size, max_candidate_pairs, rng, workers=workers
+    catalog = pair_feature_catalog(
+        schema,
+        PairFeatureConfig(
+            sim_threshold=config.sim_threshold,
+            is_same_tolerance=config.is_same_tolerance,
+            level=feature_level,
+        ),
+        exclude_performance=True,
     )
-    columns = _full_vector_columns(kernel, firsts, seconds)
-    return _build_examples(kernel.block, columns, firsts, seconds, labels)
+    return catalog, (feature_level, config.sim_threshold, config.is_same_tolerance)
 
 
-class TrainingMatrix(SequenceABC):
-    """A training-example set plus its columnar encoding.
+class _PairFeatureMatrix(FeatureMatrix):
+    """A :class:`~repro.ml.matrix.FeatureMatrix` over sampled pairs whose
+    columns are derived and encoded on first use.
 
-    The greedy clause-growing loop queries the same pair-feature columns
-    over shrinking example subsets; encoding the examples once into a
-    :class:`~repro.ml.matrix.FeatureMatrix` (integer value codes, float
-    arrays, one global sort per numeric column) lets every iteration run as
-    an index-subset search instead of re-extracting and re-sorting dict
-    values.  :class:`PerfXplainSession` caches one ``TrainingMatrix`` per
-    clause signature.
-
-    The object is a read-only :class:`~collections.abc.Sequence` of
-    :class:`TrainingExample`, so callers written against plain example
-    lists (the baselines, :func:`~repro.core.explanation.evaluate_explanation`)
-    accept it unchanged.
+    It holds the sampled ``(first, second)`` record indices and the
+    :class:`~repro.core.pairkernel.PairKernel` that filtered them — or,
+    wrapping plain examples, the example list.  :meth:`values` derives a
+    raw feature's Table-1 columns through
+    :meth:`~repro.core.pairkernel.PairKernel.derived_columns` the first time
+    any of them is read; :meth:`column` encodes a catalog column through
+    :meth:`~repro.ml.matrix.FeatureMatrix.from_columns` on first access.
+    Both run under one lock per matrix, so racing readers derive each raw
+    feature, and encode each column, at most once.  Each derivation
+    gathers through a fresh :class:`~repro.core.pairkernel.PairContext`
+    dropped on return: the matrix keeps derived columns, not gathers.
     """
 
-    __slots__ = ("examples", "matrix", "observed", "encoding")
+    __slots__ = (
+        "catalog",
+        "kernel",
+        "firsts",
+        "seconds",
+        "owners",
+        "listed",
+        "_features",
+        "_values",
+        "_lock",
+    )
 
     def __init__(
         self,
-        examples: list[TrainingExample],
-        matrix: FeatureMatrix,
+        catalog: dict[str, bool],
+        kernel: PairKernel | None = None,
+        firsts: Sequence[int] = (),
+        seconds: Sequence[int] = (),
+        listed: list[TrainingExample] | None = None,
+    ) -> None:
+        super().__init__({}, len(listed) if listed is not None else len(firsts))
+        #: Searchable pair features mapped to "is numeric", in catalog order.
+        self.catalog = catalog
+        self.kernel = kernel
+        self.firsts = firsts
+        self.seconds = seconds
+        #: Every derivable pair feature -> its raw feature (kernel-backed).
+        self.owners = _pair_feature_owners(kernel.schema) if kernel is not None else {}
+        self.listed = listed
+        self._features = tuple(catalog)
+        self._values: dict[str, list] = {}
+        self._lock = threading.Lock()
+
+    def with_catalog(self, catalog: dict[str, bool]) -> "_PairFeatureMatrix":
+        """The same sample under another searchable catalog."""
+        return _PairFeatureMatrix(
+            catalog, self.kernel, self.firsts, self.seconds, self.listed
+        )
+
+    @property
+    def features(self) -> tuple[str, ...]:
+        """The catalog's feature names, encoded or not."""
+        return self._features
+
+    def column(self, feature: str) -> FeatureColumn:
+        """One catalog feature's encoded column, encoded on first access."""
+        column = self.columns.get(feature)
+        if column is not None:
+            return column
+        numeric = self.catalog[feature]
+        values = self.values(feature)
+        with self._lock:
+            column = self.columns.get(feature)
+            if column is None:
+                column = FeatureMatrix.from_columns(
+                    {feature: values}, numeric={feature: numeric}, n_rows=self.n_rows
+                ).columns[feature]
+                self.columns[feature] = column
+        return column
+
+    def values(self, name: str) -> list:
+        """One pair feature's value per example (``None`` = missing).
+
+        A name no raw feature derives reads as all-missing, like the absent
+        key of an example dict.
+        """
+        values = self._values.get(name)
+        if values is not None:
+            return values
+        if self.listed is None and name not in self.owners:
+            return [None] * self.n_rows
+        with self._lock:
+            if name not in self._values:
+                if self.listed is not None:
+                    self._values[name] = [ex.values.get(name) for ex in self.listed]
+                else:
+                    self._derive(self.owners[name])
+            return self._values[name]
+
+    def _derive(self, raw: str) -> None:
+        """Derive and keep the columns ``raw`` owns (lock held)."""
+        ctx = PairContext(self.firsts, self.seconds)
+        for name, values in self.kernel.derived_columns(ctx, raw, FeatureLevel.FULL):
+            if self.owners[name] == raw:
+                self._values[name] = values
+
+
+class TrainingMatrix(SequenceABC):
+    """A query's sampled training pairs, with pair features derived on demand.
+
+    The matrix keeps the sampled ``(first, second)`` record indices, their
+    labels and the :class:`~repro.core.pairkernel.PairKernel` that
+    filtered them; everything else waits for its first reader:
+
+    * :meth:`values` derives a raw feature's Table-1 columns the first time
+      any of them is read, and keeps them;
+    * :attr:`matrix` encodes a catalog column on its first ``column()``
+      access, for the greedy clause growth's index-subset searches;
+    * :attr:`examples` (and iteration) builds :class:`TrainingExample`
+      dicts only when asked, and does not keep them.
+
+    A technique thus pays only for the pair features it reads: a detector
+    citing one feature derives one raw feature.  Derivation is a pure
+    function of the sampled pairs, so which thread derives a column, and
+    when, never changes a value.  :class:`PerfXplainSession` caches one
+    ``TrainingMatrix`` per clause signature.
+
+    The object is a read-only :class:`~collections.abc.Sequence` of
+    :class:`TrainingExample`, so callers written against plain example
+    lists accept it unchanged; :meth:`of` wraps such a list the other way
+    round (its columns are then read from the example dicts).
+    """
+
+    __slots__ = ("matrix", "observed", "encoding")
+
+    def __init__(
+        self,
+        matrix: _PairFeatureMatrix,
         observed: bytearray,
         encoding: tuple | None = None,
     ) -> None:
-        self.examples = examples
-        #: Columnar encoding of the catalog's pair features.
+        #: Columnar encoding of the catalog's pair features (deferred).
         self.matrix = matrix
         #: Per-example flag: the pair performed as observed.
         self.observed = observed
@@ -405,17 +483,87 @@ class TrainingMatrix(SequenceABC):
         #: configuration is never silently reused under another.
         self.encoding = encoding
 
-    def __len__(self) -> int:
-        return len(self.examples)
+    @classmethod
+    def from_examples(
+        cls,
+        examples: Sequence[TrainingExample],
+        catalog: dict[str, bool],
+        encoding: tuple | None = None,
+    ) -> "TrainingMatrix":
+        """A matrix over plain examples: columns are read from their dicts."""
+        listed = list(examples)
+        observed = bytearray(1 if example.is_observed else 0 for example in listed)
+        return cls(_PairFeatureMatrix(catalog, listed=listed), observed, encoding)
 
-    def __getitem__(self, index):
-        return self.examples[index]
+    @classmethod
+    def of(cls, examples: Sequence[TrainingExample]) -> "TrainingMatrix":
+        """``examples`` itself if already a matrix, else a catalog-less
+        wrapper — enough for :meth:`values` and :meth:`satisfied`."""
+        if isinstance(examples, TrainingMatrix):
+            return examples
+        return cls.from_examples(examples, {})
+
+    def values(self, name: str) -> list:
+        """One pair feature's value per example (``None`` = missing)."""
+        return self.matrix.values(name)
+
+    def satisfied(self, predicate: Predicate) -> bytearray:
+        """Per-example flag: the pair satisfies every atom of ``predicate``.
+
+        The columnar twin of ``predicate.evaluate(example.values)``: only
+        the atoms' own features are derived.
+        """
+        mask = bytearray(b"\x01") * len(self)
+        for atom in predicate.atoms:
+            satisfied = map(atom.evaluate_value, self.values(atom.feature))
+            mask = bytearray(map(and_, mask, satisfied))
+        return mask
 
     def positive_labels(self, positive_label: Label) -> bytearray:
         """Bitmap of examples carrying ``positive_label``."""
         if positive_label is Label.OBSERVED:
             return self.observed
         return bytearray(0 if flag else 1 for flag in self.observed)
+
+    @property
+    def examples(self) -> list[TrainingExample]:
+        """Every example with its full pair-feature vector, built now.
+
+        Derives every raw feature (once per matrix); the dicts themselves
+        are the caller's and are not kept.
+        """
+        matrix = self.matrix
+        if matrix.listed is not None:
+            return matrix.listed
+        names = list(matrix.owners)
+        columns = [matrix.values(name) for name in names]
+        rows = zip(*columns) if columns else [()] * len(self)
+        ids = matrix.kernel.block.ids
+        return [
+            TrainingExample(ids[first], ids[second], dict(zip(names, row)), _LABELS[flag])
+            for first, second, flag, row in zip(
+                matrix.firsts, matrix.seconds, self.observed, rows
+            )
+        ]
+
+    def __len__(self) -> int:
+        return len(self.observed)
+
+    def __getitem__(self, index):
+        matrix = self.matrix
+        if matrix.listed is not None or isinstance(index, slice):
+            return self.examples[index]
+        row = range(len(self))[index]
+        ids = matrix.kernel.block.ids
+        return TrainingExample(
+            ids[matrix.firsts[row]],
+            ids[matrix.seconds[row]],
+            {name: matrix.values(name)[row] for name in matrix.owners},
+            _LABELS[self.observed[row]],
+        )
+
+    def __iter__(self) -> Iterator[TrainingExample]:
+        return iter(self.examples)
 
 
 def construct_training_matrix(
@@ -429,16 +577,17 @@ def construct_training_matrix(
     feature_level: FeatureLevel = FeatureLevel.FULL,
     workers: int = 1,
 ) -> TrainingMatrix:
-    """Construct a query's encoded :class:`TrainingMatrix` in one pass.
+    """Construct (and balanced-sample) a query's :class:`TrainingMatrix`.
 
-    The end-to-end columnar fast path: related pairs are filtered through
-    the vectorised kernels, the sampled pairs' derived feature columns are
-    computed once, and the :class:`~repro.ml.matrix.FeatureMatrix` is built
-    *directly from those kernel output columns* — the per-example value
-    dicts are assembled from the same columns, so the result is
-    element-identical to encoding :func:`construct_training_examples`
-    output with :func:`encode_training_examples` (the differential suite
-    asserts this), without the intermediate dict re-extraction.
+    This corresponds to lines 1-2 of Algorithm 1: collect the related pairs
+    through the vectorised kernels, then keep a balanced sample of at most
+    ``sample_size`` of them.  Pair features are derived later, column by
+    column and only for the sampled pairs, as techniques read them.
+
+    :param workers: process-shard the candidate filtering across this many
+        forked workers (results are bit-identical for every count).
+    :returns: the sampled training matrix (possibly empty if no pair in the
+        log is related to the query).
     """
     config = config if config is not None else PairFeatureConfig()
     rng = rng if rng is not None else random.Random(0)
@@ -447,27 +596,36 @@ def construct_training_matrix(
     firsts, seconds, labels = _sampled_index_pairs(
         kernel, query, sample_size, max_candidate_pairs, rng, workers=workers
     )
-    columns = _full_vector_columns(kernel, firsts, seconds)
-    examples = _build_examples(kernel.block, columns, firsts, seconds, labels)
-
-    catalog = pair_feature_catalog(
-        schema,
-        PairFeatureConfig(
-            sim_threshold=config.sim_threshold,
-            is_same_tolerance=config.is_same_tolerance,
-            level=feature_level,
-        ),
-        exclude_performance=True,
-    )
-    column_store = dict(columns)  # later duplicates win, like the dict writes
-    matrix = FeatureMatrix.from_columns(
-        {name: column_store[name] for name in catalog},
-        numeric=catalog,
-        n_rows=len(examples),
-    )
     observed = bytearray(1 if label is Label.OBSERVED else 0 for label in labels)
-    encoding = (feature_level, config.sim_threshold, config.is_same_tolerance)
-    return TrainingMatrix(examples, matrix, observed, encoding=encoding)
+    catalog, encoding = _encoding_of(schema, config, feature_level)
+    return TrainingMatrix(
+        _PairFeatureMatrix(catalog, kernel, firsts, seconds), observed, encoding
+    )
+
+
+def construct_training_examples(
+    log: ExecutionLog,
+    query: PXQLQuery,
+    schema: FeatureSchema,
+    config: PairFeatureConfig | None = None,
+    sample_size: int | None = 2000,
+    rng: random.Random | None = None,
+    max_candidate_pairs: int | None = 2_000_000,
+    workers: int = 1,
+) -> list[TrainingExample]:
+    """The :attr:`~TrainingMatrix.examples` of :func:`construct_training_matrix`.
+
+    Every sampled pair with its full pair-feature vector; techniques read
+    the matrix instead and derive only the features they use.
+    """
+    return construct_training_matrix(
+        log, query, schema,
+        config=config,
+        sample_size=sample_size,
+        rng=rng,
+        max_candidate_pairs=max_candidate_pairs,
+        workers=workers,
+    ).examples
 
 
 def encode_training_examples(
@@ -476,39 +634,22 @@ def encode_training_examples(
     config: PairFeatureConfig | None = None,
     feature_level: FeatureLevel = FeatureLevel.FULL,
 ) -> TrainingMatrix:
-    """Encode training examples into a :class:`TrainingMatrix`.
+    """Training examples as a :class:`TrainingMatrix` under one catalog.
 
-    The encoded columns are exactly the pair-feature catalog the explainer
-    searches (performance-derived features excluded, level capped at
-    ``feature_level``), in catalog order.  An already-encoded
-    :class:`TrainingMatrix` is passed through only when it was built under
-    the same parameters (the fast path: matrices from
-    :func:`construct_training_matrix` carry their encoding and skip the
-    dict re-extraction entirely); otherwise its examples are re-encoded, so
-    a matrix cached for one configuration never leaks a different feature
-    surface into another.
+    The searchable columns are exactly the pair-feature catalog the
+    explainer searches (performance-derived features excluded, level
+    capped at ``feature_level``), in catalog order.  A
+    :class:`TrainingMatrix` built under the same parameters passes through
+    unchanged; one built under others is re-cataloged over the same pairs,
+    so a matrix cached for one configuration never leaks a different
+    feature surface into another.
     """
     config = config if config is not None else PairFeatureConfig()
-    encoding = (feature_level, config.sim_threshold, config.is_same_tolerance)
+    catalog, encoding = _encoding_of(schema, config, feature_level)
     if isinstance(examples, TrainingMatrix):
         if examples.encoding == encoding:
             return examples
-        examples = examples.examples
-    catalog = pair_feature_catalog(
-        schema,
-        PairFeatureConfig(
-            sim_threshold=config.sim_threshold,
-            is_same_tolerance=config.is_same_tolerance,
-            level=feature_level,
-        ),
-        exclude_performance=True,
-    )
-    examples = list(examples)
-    columns = {
-        feature: [example.values.get(feature) for example in examples]
-        for feature in catalog
-    }
-    matrix = FeatureMatrix.from_columns(columns, numeric=catalog,
-                                        n_rows=len(examples))
-    observed = bytearray(1 if example.is_observed else 0 for example in examples)
-    return TrainingMatrix(examples, matrix, observed, encoding=encoding)
+        return TrainingMatrix(
+            examples.matrix.with_catalog(catalog), examples.observed, encoding
+        )
+    return TrainingMatrix.from_examples(examples, catalog, encoding)

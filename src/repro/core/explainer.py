@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import compress
 from operator import and_
 
 from repro.core.examples import (
@@ -161,9 +162,8 @@ class PerfXplainExplainer:
 
         precomputed = examples is not None
         if examples is None:
-            # Fresh construction runs the columnar pipeline end to end:
-            # the TrainingMatrix is built directly from kernel output
-            # columns, so _encode below is a pass-through.
+            # Built under this config's catalog, so _encode below is a
+            # pass-through.
             examples = construct_training_matrix(
                 log, working_query, schema,
                 config=self.config.pair_config,
@@ -177,10 +177,9 @@ class PerfXplainExplainer:
             # Freshly constructed examples already satisfy the extension
             # (it is part of ``working_query``); shared ones must be
             # narrowed to the generated ``des'`` context.
-            indices = [
-                index for index, example in enumerate(encoded.examples)
-                if despite_extension.evaluate(example.values)
-            ]
+            indices = list(
+                compress(range(len(encoded)), encoded.satisfied(despite_extension))
+            )
         else:
             indices = list(range(len(encoded)))
         if not indices:
@@ -196,8 +195,10 @@ class PerfXplainExplainer:
             despite=despite_extension,
             technique=self.name,
         )
-        in_context = [encoded.examples[index] for index in indices]
-        return explanation.with_metrics(evaluate_explanation(explanation, in_context))
+        # The metrics' context is the rows satisfying ``des'``, which are
+        # exactly ``indices`` (all rows when the examples were built for
+        # ``working_query``), so they are measured over the whole matrix.
+        return explanation.with_metrics(evaluate_explanation(explanation, encoded))
 
     def generate_despite(
         self,

@@ -20,9 +20,11 @@ OBSERVED or EXPECTED).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from operator import and_
+from typing import Any, Mapping, Sequence
 
+from repro.core.examples import TrainingMatrix
 from repro.core.pxql.ast import Predicate, TRUE_PREDICATE
 from repro.logs.records import FeatureValue
 
@@ -195,55 +197,62 @@ class Explanation:
 # --------------------------------------------------------------------- #
 
 
-def _count(
-    examples: Iterable,
-    predicate: Predicate,
-) -> tuple[int, int, int]:
-    """(matching, matching-and-observed, total) over labeled examples."""
-    matching = 0
-    matching_observed = 0
-    total = 0
-    for example in examples:
-        total += 1
-        if predicate.evaluate(example.values):
-            matching += 1
-            if example.is_observed:
-                matching_observed += 1
-    return matching, matching_observed, total
+def _tally(
+    despite: Predicate, because: Predicate, examples: Sequence
+) -> tuple[int, int, int, int]:
+    """Counts over labeled examples, read column by column.
+
+    Returns (in context, in-context observed, matching, matching observed),
+    where *in context* means satisfying ``despite`` and *matching* means
+    satisfying ``despite`` and ``because``.  Only the two clauses' own
+    pair features are read, so a training matrix derives nothing else.
+    """
+    matrix = TrainingMatrix.of(examples)
+    in_context = matrix.satisfied(despite)
+    matching = bytearray(map(and_, in_context, matrix.satisfied(because)))
+    observed = matrix.observed
+    return (
+        sum(in_context),
+        sum(map(and_, in_context, observed)),
+        sum(matching),
+        sum(map(and_, matching, observed)),
+    )
+
+
+def _share(part: int, whole: int) -> float:
+    return part / whole if whole else 0.0
 
 
 def precision_of(because: Predicate, despite: Predicate, examples: Sequence) -> float:
     """``P(obs | bec AND des')`` over examples already satisfying the query's des."""
-    combined = despite.and_then(because)
-    matching, matching_observed, _ = _count(examples, combined)
-    if matching == 0:
-        return 0.0
-    return matching_observed / matching
+    _, _, matching, matching_observed = _tally(despite, because, examples)
+    return _share(matching_observed, matching)
 
 
 def generality_of(because: Predicate, despite: Predicate, examples: Sequence) -> float:
     """``P(bec | des')`` over examples already satisfying the query's des."""
-    in_context = [ex for ex in examples if despite.evaluate(ex.values)]
-    if not in_context:
-        return 0.0
-    matching = sum(1 for ex in in_context if because.evaluate(ex.values))
-    return matching / len(in_context)
+    in_context, _, matching, _ = _tally(despite, because, examples)
+    return _share(matching, in_context)
 
 
 def relevance_of(despite: Predicate, examples: Sequence) -> float:
     """``P(exp | des')`` over examples already satisfying the query's des."""
-    matching, matching_observed, _ = _count(examples, despite)
-    if matching == 0:
-        return 0.0
-    return (matching - matching_observed) / matching
+    in_context, in_context_observed, _, _ = _tally(despite, TRUE_PREDICATE, examples)
+    return _share(in_context - in_context_observed, in_context)
 
 
 def evaluate_explanation(explanation: Explanation, examples: Sequence) -> ExplanationMetrics:
-    """All three metrics of an explanation over a labeled example set."""
-    in_context = sum(1 for ex in examples if explanation.despite.evaluate(ex.values))
+    """All three metrics of an explanation over a labeled example set.
+
+    ``examples`` is a :class:`~repro.core.examples.TrainingMatrix` or any
+    sequence of :class:`~repro.core.examples.TrainingExample`.
+    """
+    in_context, in_context_observed, matching, matching_observed = _tally(
+        explanation.despite, explanation.because, examples
+    )
     return ExplanationMetrics(
-        relevance=relevance_of(explanation.despite, examples),
-        precision=precision_of(explanation.because, explanation.despite, examples),
-        generality=generality_of(explanation.because, explanation.despite, examples),
+        relevance=_share(in_context - in_context_observed, in_context),
+        precision=_share(matching_observed, matching),
+        generality=_share(matching, in_context),
         support=in_context,
     )

@@ -103,6 +103,22 @@ def derived_parts(pair_feature: str) -> tuple[str, str]:
     return pair_feature, KIND_BASE
 
 
+def derived_names(raw: str, level: FeatureLevel) -> list[tuple[str, str]]:
+    """``(name, kind)`` of every derived feature of one raw feature at a level.
+
+    Emission order matches the reference's per-pair dict construction:
+    ``isSame``, then ``compare`` *and* ``diff`` (both present from the
+    comparison level up, one of them all-``None``), then the base copy.
+    """
+    names = [(raw + IS_SAME_SUFFIX, KIND_IS_SAME)]
+    if level >= FeatureLevel.COMPARISON:
+        names.append((raw + COMPARE_SUFFIX, KIND_COMPARE))
+        names.append((raw + DIFF_SUFFIX, KIND_DIFF))
+    if level >= FeatureLevel.FULL:
+        names.append((raw, KIND_BASE))
+    return names
+
+
 class PairContext:
     """One batch of candidate index pairs plus a memo of derived arrays."""
 
@@ -312,23 +328,12 @@ class PairKernel:
     def derived_columns(
         self, ctx: PairContext, raw: str, level: FeatureLevel
     ) -> list[tuple[str, list]]:
-        """Every derived (name, column) of one raw feature at a level.
-
-        Emission order matches the reference's per-pair dict construction:
-        ``isSame``, then ``compare`` *and* ``diff`` (both present from the
-        comparison level up, one of them all-``None``), then the base copy.
-        """
-        emitted = [(raw + IS_SAME_SUFFIX, self.derived_column(ctx, raw, KIND_IS_SAME))]
-        if level >= FeatureLevel.COMPARISON:
-            emitted.append(
-                (raw + COMPARE_SUFFIX, self.derived_column(ctx, raw, KIND_COMPARE))
-            )
-            emitted.append(
-                (raw + DIFF_SUFFIX, self.derived_column(ctx, raw, KIND_DIFF))
-            )
-        if level >= FeatureLevel.FULL:
-            emitted.append((raw, self.derived_column(ctx, raw, KIND_BASE)))
-        return emitted
+        """Every derived (name, column) of one raw feature at a level, in
+        :func:`derived_names` order."""
+        return [
+            (name, self.derived_column(ctx, raw, kind))
+            for name, kind in derived_names(raw, level)
+        ]
 
     # ------------------------------------------------------------------ #
     # clause evaluation

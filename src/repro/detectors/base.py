@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from repro.core.examples import (
-    construct_training_examples,
+    construct_training_matrix,
     find_record,
     records_for_query,
 )
@@ -131,7 +131,7 @@ class RuleBasedDetector:
             because=because, despite=TRUE_PREDICATE, technique=self.name
         )
         if examples is None:
-            examples = construct_training_examples(
+            examples = construct_training_matrix(
                 log, query, schema, config=self.pair_config, rng=random.Random(0)
             )
         if examples:

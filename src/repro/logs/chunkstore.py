@@ -76,8 +76,11 @@ class ChunkStore:
 
     Spill files are pid-tagged: forked kernel workers inherit the store and
     may spill chunks of columns they build locally, and distinct processes
-    must never race on one file name.  The directory is removed when the
-    creating process drops the store (or exits).
+    must never race on one file name.  A spilling store creates its
+    directory up front, in the owning process, so every worker forked
+    later spills into that same directory; the owner removes it, worker
+    files included, when it drops the store (or exits).  A worker killed
+    by ``pool.terminate()`` runs no finalizer, so it must own nothing.
 
     The store is thread-safe: even a pure read (:meth:`get`) refreshes LRU
     recency and may reload-and-evict, so every entry point runs under one
@@ -93,9 +96,15 @@ class ChunkStore:
         directory: str | Path | None = None,
     ) -> None:
         self.max_resident = max_resident
-        self._parent_directory = directory
         self._directory: Path | None = None
-        self._finalizer: weakref.finalize | None = None
+        if max_resident is not None:
+            self._directory = Path(
+                tempfile.mkdtemp(
+                    prefix="repro-chunks-",
+                    dir=str(directory) if directory is not None else None,
+                )
+            )
+            weakref.finalize(self, _remove_tree, str(self._directory), os.getpid())
         self._resident: OrderedDict[tuple, BlockColumn] = OrderedDict()
         self._paths: dict[tuple, Path] = {}
         self._spill_sequence = 0
@@ -178,28 +187,13 @@ class ChunkStore:
             self.evictions += 1
 
     def _spill(self, key: tuple, chunk: BlockColumn) -> None:
-        directory = self._ensure_directory()
         # pid-tagged names: forked workers spill into the same directory.
-        path = directory / f"chunk-{os.getpid()}-{self._spill_sequence:06d}.pkl"
+        path = self._directory / f"chunk-{os.getpid()}-{self._spill_sequence:06d}.pkl"
         self._spill_sequence += 1
         with open(path, "wb") as handle:
             pickle.dump(chunk, handle, protocol=pickle.HIGHEST_PROTOCOL)
         self._paths[key] = path
         self.spills += 1
-
-    def _ensure_directory(self) -> Path:
-        if self._directory is None:
-            parent = self._parent_directory
-            self._directory = Path(
-                tempfile.mkdtemp(
-                    prefix="repro-chunks-",
-                    dir=str(parent) if parent is not None else None,
-                )
-            )
-            self._finalizer = weakref.finalize(
-                self, _remove_tree, str(self._directory), os.getpid()
-            )
-        return self._directory
 
 
 class ChunkedColumn:

@@ -248,7 +248,7 @@ class FeatureMatrix:
 
     def is_numeric(self, feature: str) -> bool:
         """Whether a feature's column carries threshold candidates."""
-        return self.columns[feature].numeric
+        return self.column(feature).numeric
 
     def column(self, feature: str) -> FeatureColumn:
         """The encoded column for one feature."""

@@ -1,0 +1,133 @@
+"""On-demand derivation: a technique pays only for the pair features it reads.
+
+A :class:`~repro.core.examples.TrainingMatrix` derives a raw feature's
+Table-1 columns through :meth:`PairKernel.derived_columns` the first time
+one of them is read.  These tests count those calls: a detector answer
+derives only the raw features it cites, and racing readers of one cold
+matrix derive each raw feature exactly once and see the serial columns.
+"""
+
+from __future__ import annotations
+
+import os
+import random
+import sys
+import threading
+import time
+from collections import Counter
+from pathlib import Path
+
+import pytest
+
+# Randomized-log builder and NaN-aware column equality shared with the
+# kernel differential suite.
+from test_pair_pipeline_equivalence import _columns_equal, random_log
+
+from repro.core.api import PerfXplainSession
+from repro.core.examples import construct_training_matrix
+from repro.core.features import infer_schema
+from repro.core.pairkernel import PairKernel
+from repro.core.pairs import raw_feature_of
+from repro.core.pxql.parser import parse_query
+from repro.ingest import ingest_path
+
+JHIST_FIXTURE = (
+    Path(__file__).resolve().parent.parent / "logs" / "fixtures"
+    / "job_201207121733_0001.jhist"
+)
+
+TASK_QUERY = """
+    FOR TASKS ?, ?
+    DESPITE job_id_isSame = T AND task_type_isSame = T
+    OBSERVED duration_compare = GT
+    EXPECTED duration_compare = SIM
+"""
+
+JOB_QUERY = """
+    FOR JOBS ?, ?
+    OBSERVED duration_compare = GT
+    EXPECTED duration_compare = SIM
+"""
+
+
+@pytest.fixture
+def derivations(monkeypatch):
+    """Every raw feature :meth:`PairKernel.derived_columns` is called for."""
+    calls: Counter = Counter()
+    lock = threading.Lock()
+    derive = PairKernel.derived_columns
+
+    def counted(self, ctx, raw, level):
+        with lock:
+            calls[raw] += 1
+        return derive(self, ctx, raw, level)
+
+    monkeypatch.setattr(PairKernel, "derived_columns", counted)
+    return calls
+
+
+@pytest.mark.parametrize("technique", ["detect-skew", "detect-straggler"])
+def test_a_detector_derives_only_the_features_it_cites(derivations, technique):
+    session = PerfXplainSession(ingest_path(JHIST_FIXTURE).log)
+    explanation = session.explain(TASK_QUERY, technique=technique)
+    cited = {
+        raw_feature_of(feature)
+        for feature in explanation.despite.features() + explanation.because.features()
+    }
+    assert cited
+    assert derivations == Counter(cited)
+    # The matrix stays cached; asking again derives nothing new.
+    session.explain(TASK_QUERY, technique=technique, width=1)
+    assert derivations == Counter(cited)
+
+
+def test_racing_readers_derive_each_raw_feature_once(derivations):
+    log = random_log(5)
+    schema = infer_schema(log.jobs)
+    query = parse_query(JOB_QUERY)
+
+    def cold_matrix():
+        return construct_training_matrix(log, query, schema, rng=random.Random(5))
+
+    serial = cold_matrix()
+    features = list(serial.matrix.features)
+    expected = {feature: serial.matrix.column(feature).raw for feature in features}
+    derived_serially = dict(derivations)
+    derivations.clear()
+
+    matrix = cold_matrix()
+    threads = 4 * max(2, os.cpu_count() or 1)
+    barrier = threading.Barrier(threads)
+    seen: dict[int, dict] = {}
+    errors: list[BaseException] = []
+
+    def read(offset: int) -> None:
+        try:
+            barrier.wait(timeout=30)
+            order = features[offset % len(features):] + features[: offset % len(features)]
+            seen[offset] = {feature: matrix.matrix.column(feature).raw for feature in order}
+        except BaseException as error:  # noqa: BLE001 - reported below
+            errors.append(error)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=read, args=(index * 7,)) for index in range(threads)]
+        for worker in workers:
+            worker.start()
+        deadline = time.monotonic() + 60.0
+        for worker in workers:
+            worker.join(timeout=max(0.0, deadline - time.monotonic()))
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers), "readers did not finish in time"
+    assert errors == []
+
+    assert derivations == Counter(derived_serially)
+    assert set(derivations.values()) == {1}
+    assert len(seen) == threads
+    for columns in seen.values():
+        for feature in features:
+            # One published column per feature, equal to the serial one.
+            assert columns[feature] is matrix.matrix.column(feature).raw
+            assert _columns_equal(columns[feature], expected[feature]), feature

@@ -35,7 +35,7 @@ from repro.core.pairref import (
     iter_related_pairs_reference,
 )
 from repro.core.pairs import PairFeatureConfig, compute_pair_features
-from repro.core.explanation import Explanation
+from repro.core.explanation import Explanation, ExplanationMetrics, evaluate_explanation
 from repro.core.evaluation import measure_on_log
 from repro.core.pxql.ast import Comparison, Operator, Predicate
 from repro.core.pxql.query import EntityKind, PXQLQuery
@@ -284,3 +284,103 @@ class TestMeasureOnLogEquivalence:
             assert metrics.generality == matching / in_context
         if matching:
             assert metrics.precision == matching_observed / matching
+
+
+def colliding_log(seed: int) -> ExecutionLog:
+    """A randomized log whose raw features include two named like another
+    raw feature's derived columns: ``host_diff`` and ``mem_compare`` are
+    each emitted twice per pair, and the later (base-copy) emission wins."""
+    log = random_log(seed)
+    rng = random.Random(seed + 4242)
+    for job in log.jobs:
+        job.features["host_diff"] = rng.choice(["x", "y", None])
+        job.features["mem_compare"] = rng.choice([1.0, 2.0, 2.0, 9.5, None])
+    return log
+
+
+def _explanation_pool() -> list[Comparison]:
+    return _despite_pool() + [
+        Comparison("host_diff", Operator.EQ, "x"),
+        Comparison("mem_compare", Operator.GT, 1.5),
+        Comparison("mem_compare_isSame", Operator.EQ, "T"),
+        Comparison("duration_compare", Operator.EQ, "GT"),
+        Comparison("no_such_feature", Operator.NE, "T"),
+    ]
+
+
+class TestOnDemandMatrixEquivalence:
+    """The on-demand matrix against the eager dict reference, column by
+    column, in whatever order techniques happen to read them."""
+
+    @pytest.mark.parametrize("seed", DATASET_SEEDS)
+    def test_columns_examples_and_metrics_match_the_reference(self, seed):
+        log = colliding_log(seed)
+        query = random_query(seed)
+        schema = infer_schema(log.jobs)
+        rng = random.Random(seed + 23)
+        level = rng.choice(list(FeatureLevel))
+        matrix = construct_training_matrix(
+            log, query, schema, sample_size=60, rng=random.Random(seed),
+            feature_level=level,
+        )
+        reference_examples = construct_training_examples_reference(
+            log, query, schema, sample_size=60, rng=random.Random(seed)
+        )
+        reference = encode_training_examples(
+            reference_examples, schema, feature_level=level
+        )
+
+        # Metrics first, on a cold matrix: only the clauses' features derive.
+        explanation = Explanation(
+            because=Predicate.conjunction(rng.sample(_explanation_pool(), 2)),
+            despite=Predicate.conjunction(rng.sample(_explanation_pool(), rng.randint(0, 1))),
+        )
+        metrics = evaluate_explanation(explanation, matrix)
+        assert metrics == _dict_recount(explanation, reference_examples)
+
+        features = list(matrix.matrix.features)
+        assert features == list(reference.matrix.features)
+        rng.shuffle(features)
+        for feature in features:
+            column = matrix.matrix.column(feature)
+            reference_column = reference.matrix.column(feature)
+            assert column.numeric == reference_column.numeric, feature
+            assert _columns_equal(column.raw, reference_column.raw), feature
+
+        examples = matrix.examples
+        assert len(examples) == len(reference_examples) == len(matrix)
+        for example, reference_example in zip(examples, reference_examples):
+            assert example.first_id == reference_example.first_id
+            assert example.second_id == reference_example.second_id
+            assert example.label == reference_example.label
+            assert _vectors_equal(example.values, reference_example.values)
+        if examples:
+            assert _vectors_equal(matrix[-1].values, reference_examples[-1].values)
+
+    def test_the_later_emission_wins_a_name_collision(self):
+        log = colliding_log(3)
+        query = random_query(3)
+        schema = infer_schema(log.jobs)
+        matrix = construct_training_matrix(log, query, schema, rng=random.Random(3))
+        assert len(matrix) > 0
+        by_id = {job.entity_id: job for job in log.jobs}
+        for example, value in zip(matrix.examples, matrix.values("host_diff")):
+            first = by_id[example.first_id].features["host_diff"]
+            second = by_id[example.second_id].features["host_diff"]
+            # The base copy of raw ``host_diff``, not raw ``host``'s diff.
+            assert value == (first if first is not None and first == second else None)
+        assert matrix.matrix.column("mem_compare").numeric
+
+
+def _dict_recount(explanation: Explanation, examples) -> ExplanationMetrics:
+    """The three metrics recounted one example dict at a time."""
+    in_context = [ex for ex in examples if explanation.despite.evaluate(ex.values)]
+    matching = [ex for ex in in_context if explanation.because.evaluate(ex.values)]
+    observed = sum(1 for ex in matching if ex.label is Label.OBSERVED)
+    expected = sum(1 for ex in in_context if ex.label is Label.EXPECTED)
+    return ExplanationMetrics(
+        relevance=expected / len(in_context) if in_context else 0.0,
+        precision=observed / len(matching) if matching else 0.0,
+        generality=len(matching) / len(in_context) if in_context else 0.0,
+        support=len(in_context),
+    )
