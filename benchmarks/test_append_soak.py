@@ -27,8 +27,9 @@ import pytest
 from repro.core.api import PerfXplainSession
 from repro.core.explainer import PerfXplainConfig
 from repro.core.features import FeatureKind, FeatureSchema
+from repro.logs.chunkstore import RecordBlock
 from repro.logs.records import TaskRecord
-from repro.logs.store import ExecutionLog, RecordBlock
+from repro.logs.store import ExecutionLog
 from repro.service import (
     AppendRequest,
     AppendResponse,

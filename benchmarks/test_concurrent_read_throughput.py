@@ -4,8 +4,9 @@ PR 9's tentpole: read traffic to a single log no longer queues on a
 per-log mutex.  Three claims, each asserted here:
 
 * **Throughput** — four service threads running a mixed warm/cold batch
-  against one log beat the same service in ``serialize_reads=True`` mode
-  (the old one-query-at-a-time behaviour) by a wall-clock floor, with
+  against one log beat the same service with reads patched onto the
+  exclusive write side of the per-log lock (the old one-query-at-a-time
+  behaviour, :func:`_write_side`) by a wall-clock floor, with
   every response bit-identical between the two modes.  The cold queries
   shard their candidate filtering to worker processes
   (``pair_workers``), so reader overlap buys real parallelism: while one
@@ -150,12 +151,16 @@ def _comparable(response):
     )
 
 
-def _run_batch(log, config, mix, serialize_reads):
+def _write_side(service, name):
+    """A read path that takes the per-log write lock: the sequential
+    baseline, patched over :meth:`PerfXplainService._read_side`."""
+    return service.catalog.lock(name).write_locked()
+
+
+def _run_batch(log, config, mix):
     catalog = LogCatalog(config=config, seed=0)
     catalog.register("live", log)
-    with PerfXplainService(
-        catalog, max_workers=SERVICE_THREADS, serialize_reads=serialize_reads
-    ) as service:
+    with PerfXplainService(catalog, max_workers=SERVICE_THREADS) as service:
         start = time.perf_counter()
         response = service.execute_batch(BatchRequest(requests=tuple(mix)))
         elapsed = time.perf_counter() - start
@@ -164,7 +169,7 @@ def _run_batch(log, config, mix, serialize_reads):
 
 
 def test_concurrent_reads_beat_serialized_baseline(
-    benchmark, read_log, read_config
+    benchmark, read_log, read_config, monkeypatch
 ):
     mix = _request_mix()
 
@@ -174,12 +179,12 @@ def test_concurrent_reads_beat_serialized_baseline(
     warmup = PerfXplain(read_log, config=read_config, seed=0)
     warmup.explain(QUERY_STRICT, width=1)
 
-    serialized, serialized_seconds, _ = _run_batch(
-        read_log, read_config, mix, serialize_reads=True
-    )
+    with monkeypatch.context() as patched:
+        patched.setattr(PerfXplainService, "_read_side", _write_side)
+        serialized, serialized_seconds, _ = _run_batch(read_log, read_config, mix)
 
     def run_concurrent():
-        return _run_batch(read_log, read_config, mix, serialize_reads=False)
+        return _run_batch(read_log, read_config, mix)
 
     concurrent, concurrent_seconds, metrics = benchmark.pedantic(
         run_concurrent, rounds=1, iterations=1

@@ -2,10 +2,10 @@
 
 End-to-end ``construct_training_examples`` on a multi-thousand-task log —
 the dominant cost of answering a fresh clause signature.  The columnar
-pipeline (cached :class:`~repro.logs.store.RecordBlock`, vectorised clause
+pipeline (cached :class:`~repro.logs.chunkstore.RecordBlock`, vectorised clause
 masks over batched candidate index pairs, column-at-a-time feature
 derivation) is measured against the frozen pair-at-a-time dict path of
-:mod:`repro.core.pairref`, which allocates a feature dict per candidate
+:mod:`tests.oracles.pairref`, which allocates a feature dict per candidate
 pair.  Both paths share the hash-based candidate subsampling and the
 exact-size balanced sampling, so the comparison isolates the columnar
 re-layout — and the outputs are asserted *identical*, example by example.
@@ -28,10 +28,11 @@ import time
 
 from repro.core.examples import construct_training_examples
 from repro.core.features import infer_schema
-from repro.core.pairref import construct_training_examples_reference
 from repro.core.queries import why_last_task_faster
 from repro.logs.records import TaskRecord
 from repro.logs.store import ExecutionLog
+
+from tests.oracles.pairref import construct_training_examples_reference
 
 #: Required speedup.  Relaxed on shared CI runners, where a noisy neighbor
 #: can skew either side of the wall-clock comparison.

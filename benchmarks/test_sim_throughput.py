@@ -27,6 +27,8 @@ import time
 from repro.units import MB
 from repro.workloads.grid import ParameterGrid, build_experiment_log
 
+from tests.oracles.engineref import ReferenceSimulationEngine
+
 #: Required speedup.  Relaxed on shared CI runners, where a noisy neighbor
 #: can skew either side of the wall-clock comparison.
 SPEEDUP_FLOOR = 1.5 if os.environ.get("CI") else 3.0
@@ -43,13 +45,18 @@ CONTENDED_GRID = ParameterGrid(
 )
 
 
-def test_event_engine_beats_reference_on_contended_sweep(benchmark):
-    start = time.perf_counter()
-    reference_log = build_experiment_log(CONTENDED_GRID, seed=7, engine="reference")
-    reference_seconds = time.perf_counter() - start
+def test_event_engine_beats_reference_on_contended_sweep(benchmark, monkeypatch):
+    with monkeypatch.context() as patched:
+        # The runner simulates with whatever engine class it names.
+        patched.setattr(
+            "repro.workloads.runner.SimulationEngine", ReferenceSimulationEngine
+        )
+        start = time.perf_counter()
+        reference_log = build_experiment_log(CONTENDED_GRID, seed=7)
+        reference_seconds = time.perf_counter() - start
 
     def sweep_event_engine():
-        return build_experiment_log(CONTENDED_GRID, seed=7, engine="event")
+        return build_experiment_log(CONTENDED_GRID, seed=7)
 
     event_log = benchmark.pedantic(sweep_event_engine, rounds=1, iterations=1)
     event_seconds = benchmark.stats.stats.mean

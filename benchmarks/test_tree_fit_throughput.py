@@ -4,7 +4,7 @@ The columnar pipeline (:mod:`repro.ml.matrix`) encodes a training set once
 — integer value codes, float arrays, one global sort per numeric column —
 and fits :class:`repro.ml.decision_tree.DecisionTree` on index subsets with
 prefix-count threshold sweeps.  The reference row path in
-:mod:`repro.ml.rowpath` preserves the pre-refactor *data layout and
+:mod:`tests.oracles.rowpath` preserves the pre-refactor *data layout and
 per-node work* — re-extracting and re-sorting every column at every node —
 while sharing the live path's gain arithmetic and explicit tie-breaking,
 so the comparison isolates exactly the columnar re-layout.  This benchmark
@@ -31,7 +31,8 @@ import time
 
 from repro.core.features import infer_schema
 from repro.ml.decision_tree import DecisionTree, DecisionTreeNode
-from repro.ml.rowpath import RowPathDecisionTree
+
+from tests.oracles.rowpath import RowPathDecisionTree
 
 #: Required speedup.  Relaxed on shared CI runners, where a noisy neighbor
 #: can skew either side of the wall-clock comparison.

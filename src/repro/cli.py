@@ -105,7 +105,6 @@ from repro.service import (
     ServiceClient,
 )
 from repro.workloads.grid import build_experiment_log, paper_grid, small_grid, tiny_grid
-from repro.workloads.runner import ENGINES
 from repro.workloads.scenarios import (
     build_catalog_log,
     build_scenario_log,
@@ -133,8 +132,6 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="keep only job records (smaller output)")
     generate.add_argument("--output", type=Path, required=True,
                           help="output path (.json, .jsonl, or either + .gz)")
-    generate.add_argument("--engine", choices=sorted(ENGINES), default="event",
-                          help="simulation engine (default: event)")
     generate.add_argument("--workers", type=int, default=1,
                           help="worker processes for the sweep (default: 1)")
 
@@ -146,8 +143,6 @@ def _build_parser() -> argparse.ArgumentParser:
                           choices=sorted(scenario_catalog()) + ["all"],
                           help="catalog scenario to simulate (default: all)")
     scenario.add_argument("--seed", type=int, default=0, help="base random seed")
-    scenario.add_argument("--engine", choices=sorted(ENGINES), default="event",
-                          help="simulation engine (default: event)")
     scenario.add_argument("--output", type=Path, required=True,
                           help="output path (.json, .jsonl, or either + .gz)")
 
@@ -371,8 +366,7 @@ def _cmd_generate_log(args: argparse.Namespace) -> int:
           f"({args.repetitions} repetition(s), seed {args.seed})...", file=sys.stderr)
     log = build_experiment_log(
         grid, seed=args.seed, repetitions=args.repetitions,
-        include_tasks=not args.no_tasks, engine=args.engine,
-        workers=args.workers,
+        include_tasks=not args.no_tasks, workers=args.workers,
     )
     log.save(args.output)
     print(f"Wrote {log.num_jobs} jobs and {log.num_tasks} tasks to {args.output}",
@@ -384,12 +378,12 @@ def _cmd_generate_scenario(args: argparse.Namespace) -> int:
     if args.scenario == "all":
         names = sorted(scenario_catalog())
         print(f"Simulating all {len(names)} catalog scenarios...", file=sys.stderr)
-        log = build_catalog_log(seed=args.seed, engine=args.engine)
+        log = build_catalog_log(seed=args.seed)
     else:
         scenario = get_scenario(args.scenario)
         print(f"Simulating scenario {scenario.name!r} ({scenario.knobs})...",
               file=sys.stderr)
-        log = build_scenario_log(scenario, seed=args.seed, engine=args.engine)
+        log = build_scenario_log(scenario, seed=args.seed)
     log.save(args.output)
     print(f"Wrote {log.num_jobs} jobs and {log.num_tasks} tasks to {args.output}",
           file=sys.stderr)

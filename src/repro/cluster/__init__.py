@@ -9,10 +9,7 @@ PerfXplain paper collected its execution log from.  It models:
 * a slot-based FIFO scheduler that runs map tasks in waves followed by
   reduce tasks (:mod:`repro.cluster.scheduler`),
 * a processor-sharing discrete-event engine that advances running tasks at a
-  rate determined by per-instance contention (:mod:`repro.cluster.engine`;
-  the frozen pre-event-core reference loop lives in
-  :mod:`repro.cluster.engineref` and is pinned to the event core by a
-  differential suite),
+  rate determined by per-instance contention (:mod:`repro.cluster.engine`),
 * fault injection — slow nodes and failing task attempts
   (:mod:`repro.cluster.faults`).
 
@@ -36,7 +33,6 @@ from repro.cluster.engine import (
     TaskExecution,
     JobExecution,
 )
-from repro.cluster.engineref import ReferenceSimulationEngine
 from repro.cluster.trace import UtilizationInterval, UtilizationTrace
 
 __all__ = [
@@ -58,7 +54,6 @@ __all__ = [
     "JobSpec",
     "FaultModel",
     "SimulationEngine",
-    "ReferenceSimulationEngine",
     "SimulationResult",
     "TaskExecution",
     "JobExecution",

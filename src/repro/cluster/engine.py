@@ -24,7 +24,7 @@ boundary on the instance, or the simulation clock reaches the instance's
 next background-load episode.  The original loop — which called
 ``_task_speed`` for every running attempt at every event, each call
 scanning the whole running list for co-located attempts — is preserved
-verbatim in :mod:`repro.cluster.engineref`; the differential suite
+verbatim in ``tests/oracles/engineref.py``; the differential suite
 (``tests/cluster/test_engine_equivalence.py``) proves both engines emit
 bit-identical task records, phase timings and utilization traces.
 Background-load episodes are tracked with monotonic cursors (the clock

@@ -12,9 +12,7 @@ Submodules:
 * :mod:`repro.core.examples` — related-pair enumeration and training-example
   construction (Definition 7-9), adapted over the columnar pair kernels;
 * :mod:`repro.core.pairkernel` — vectorised pair-feature kernels and clause
-  masks over a :class:`~repro.logs.store.RecordBlock`;
-* :mod:`repro.core.pairref` — the frozen dict-per-pair reference path the
-  differential suite compares the kernels against;
+  masks over a :class:`~repro.logs.chunkstore.RecordBlock`;
 * :mod:`repro.core.sampling` — the balanced sampling of Section 4.3;
 * :mod:`repro.core.explainer` — Algorithm 1 and automatic despite-clause
   generation;

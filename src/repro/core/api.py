@@ -441,7 +441,7 @@ class PerfXplainSession(PerfXplain):
 
         Built on the columnar pipeline
         (:func:`~repro.core.examples.construct_training_matrix`): the log's
-        :class:`~repro.logs.store.RecordBlock` is encoded once per log and
+        :class:`~repro.logs.chunkstore.RecordBlock` is encoded once per log and
         shared across every clause signature, the kernels filter the
         candidate pairs, and the matrix derives and encodes each pair
         feature column the first time a technique reads it.  Keyed by the

@@ -15,7 +15,7 @@ changes which pairs are related — and is only applied to raw features whose
 equality is exact (nominal values and integers), not to noisy floats.
 
 Since the columnar refactor this module is a thin adapter over the pair
-kernels: the log's cached :class:`~repro.logs.store.RecordBlock` (layer 1)
+kernels: the log's cached :class:`~repro.logs.chunkstore.RecordBlock` (layer 1)
 feeds :class:`~repro.core.pairkernel.PairKernel` (layer 2), which evaluates
 the three clauses as vectorised masks over batched candidate index pairs —
 no per-pair feature dict is ever allocated while filtering.
@@ -23,9 +23,8 @@ no per-pair feature dict is ever allocated while filtering.
 in a :class:`TrainingMatrix`, which derives the sampled pairs' feature
 columns through the kernel only when a technique first reads them.  The
 original pair-at-a-time dict path is preserved verbatim in
-:mod:`repro.core.pairref` (mirroring :mod:`repro.ml.rowpath`) as the
-reference implementation the differential suite checks this pipeline
-against.
+``tests/oracles/pairref.py`` as the reference implementation the
+differential suite checks this pipeline against.
 """
 
 from __future__ import annotations
@@ -128,23 +127,6 @@ def _blocking_features(query: PXQLQuery, schema: FeatureSchema) -> list[str]:
     return blocking
 
 
-def _group_records(
-    records: Sequence[ExecutionRecord], blocking: Sequence[str]
-) -> list[list[ExecutionRecord]]:
-    """Reference record grouping (value-keyed; kept for the dict path)."""
-    if not blocking:
-        return [list(records)]
-    groups: dict[tuple, list[ExecutionRecord]] = {}
-    for record in records:
-        key = tuple(record.features.get(feature) for feature in blocking)
-        if any(value is None or value != value for value in key):
-            # A missing or NaN blocked value can never satisfy
-            # ``isSame = T`` (NaN equals nothing, itself included).
-            continue
-        groups.setdefault(key, []).append(record)
-    return list(groups.values())
-
-
 def validate_query_features(query: PXQLQuery, schema: FeatureSchema) -> list[str]:
     """The raw features a query's clauses touch; raise on unknown ones."""
     query_raw_features = sorted(
@@ -241,7 +223,7 @@ def iter_related_pairs(
     vectorised masks over batched candidate index pairs (only the raw
     features the query references are ever derived), and the records are
     resolved back from the log's cached
-    :class:`~repro.logs.store.RecordBlock` when yielding.
+    :class:`~repro.logs.chunkstore.RecordBlock` when yielding.
 
     :param max_candidate_pairs: safety valve — if the blocked candidate
         space is still larger than this, a random subset of candidate pairs

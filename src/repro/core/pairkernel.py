@@ -1,10 +1,10 @@
-"""Vectorized pair-feature kernels over a :class:`~repro.logs.store.RecordBlock`.
+"""Vectorized pair-feature kernels over a :class:`~repro.logs.chunkstore.RecordBlock`.
 
 Layer 2 of the columnar pair pipeline.  The paper's Section 4 derives, for
 every candidate pair of executions, the Table-1 pair features
 (``_isSame`` / ``_compare`` / ``_diff`` / shared base value) and filters the
 candidates through the query's despite/observed/expected clauses.  The dict
-reference path (:mod:`repro.core.pairref`) does that one pair at a time,
+reference path (``tests/oracles/pairref.py``) does that one pair at a time,
 allocating a feature dict per candidate; this module does it one *column*
 at a time over arrays of ``(i, j)`` candidate index pairs:
 
@@ -58,7 +58,7 @@ from repro.core.pairs import (
 )
 from repro.core.pxql.ast import Comparison, Operator, Predicate
 from repro.logs.records import FeatureValue
-from repro.logs.store import RecordBlock
+from repro.logs.chunkstore import RecordBlock
 
 #: Derived-feature kinds (the four Table-1 families).
 KIND_IS_SAME = "is_same"
@@ -77,7 +77,7 @@ _IS_SAME_VALUES = (None, NOT_SAME, SAME)
 _COMPARE_VALUES = (None, GREATER_THAN, None, SIMILAR, None, LESS_THAN)
 
 #: Gather-tag first letter -> encoded column array name (see
-#: :meth:`~repro.logs.store.BlockColumn.gather`).
+#: :meth:`~repro.logs.chunkstore.ChunkedColumn.gather`).
 _TAG_SOURCES = {
     "c": "codes",
     "x": "floats",
@@ -145,7 +145,7 @@ def _shared_value(shared: int, value_a: FeatureValue) -> FeatureValue:
 class PairKernel:
     """Bulk pair-feature derivation and PXQL clause evaluation.
 
-    One kernel wraps one :class:`~repro.logs.store.RecordBlock` and one
+    One kernel wraps one :class:`~repro.logs.chunkstore.RecordBlock` and one
     :class:`~repro.core.pairs.PairFeatureConfig`; all methods take a
     :class:`PairContext` holding the candidate index pairs of the current
     batch.  The config's ``level`` gates which derived features exist —
@@ -459,32 +459,14 @@ def blocking_group_indices(
     equality with a canonical NaN slot — the same relation the reference's
     value-tuple dict keys use once NaN rows are excluded.
 
-    Partition-aware: rows are consumed through the block's
-    :meth:`~repro.logs.store.RecordBlock.key_chunks` iterator — one slice
-    for a monolithic block, one per chunk for a
-    :class:`~repro.logs.chunkstore.ChunkedRecordBlock` — so a spilled
-    column's chunks are each touched exactly once and never all resident.
-
-    Blocks that memoise their groups
-    (:meth:`~repro.logs.store.RecordBlock.blocking_groups`, maintained in
-    O(delta) under appends) are delegated to; the scan below remains the
-    reference path for bare block-alikes.
+    The groups come from the block's memo
+    (:meth:`~repro.logs.chunkstore.RecordBlock.blocking_groups`), built one
+    chunk at a time — a spilled column's chunks are each touched once and
+    never all resident — and maintained in O(delta) under appends.
     """
-    n = len(block)
     if not blocking:
-        return [list(range(n))]
-    memoised = getattr(block, "blocking_groups", None)
-    if memoised is not None:
-        return memoised(blocking)
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for start, code_slices, selfeq_slices in block.key_chunks(blocking):
-        for offset, key in enumerate(zip(*code_slices)):
-            if -1 in key:
-                continue
-            if not all(selfeq[offset] for selfeq in selfeq_slices):
-                continue
-            groups.setdefault(key, []).append(start + offset)
-    return list(groups.values())
+        return [list(range(len(block)))]
+    return block.blocking_groups(blocking)
 
 
 def sampling_salt(rng: Random) -> int:

@@ -22,13 +22,13 @@ feature of ``f`` is missing.  NaN raw values behave like any non-equal
 value under ``==`` (``NaN != NaN``), so a NaN side can never produce
 ``isSame = "T"`` — which is why despite-clause blocking
 (:func:`repro.core.pairkernel.blocking_group_indices` and the reference's
-``_group_records``) drops records whose blocked raw value is missing *or*
+record grouping) drops records whose blocked raw value is missing *or*
 NaN: neither can ever join an ``isSame = T`` group, and dropping them
 keeps grouping independent of NaN object identity (a requirement for
 chunked blocks, whose spilled chunks are pickle round-tripped).
 
 The functions here define the *scalar* semantics and serve the reference
-path (:mod:`repro.core.pairref`) plus single-pair probes like
+path (``tests/oracles/pairref.py``) plus single-pair probes like
 ``PerfXplain.pair_features``; bulk derivation over many candidate pairs
 runs column-at-a-time in :mod:`repro.core.pairkernel`, whose outputs the
 differential suite pins to these definitions.

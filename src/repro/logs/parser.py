@@ -156,29 +156,31 @@ def parse_job_history(path: str | Path) -> tuple[JobRecord, list[TaskRecord]]:
     return parse_job_history_text(Path(path).read_text(encoding="utf-8"))
 
 
-def _jsonl_record(payload: object, line_number: int) -> JobRecord | TaskRecord | None:
-    """One parsed JSONL line -> a record, or ``None`` for the meta header."""
+def _jsonl_record(payload: object, where: str) -> JobRecord | TaskRecord | None:
+    """One parsed JSON record -> a record, or ``None`` for the meta header.
+
+    The validation both native formats share: ``where`` locates the record
+    in error messages (``"line 7"`` in a JSONL file, ``"jobs[3]"`` in a
+    JSON document).
+    """
     if not isinstance(payload, dict):
         raise LogFormatError(
-            f"line {line_number}: expected a JSON object, got "
-            f"{type(payload).__name__}"
+            f"{where}: expected a JSON object, got {type(payload).__name__}"
         )
     if payload.get("kind") == "meta":
         log_format = payload.get("format", JSONL_FORMAT)
         if log_format != JSONL_FORMAT:
-            raise LogFormatError(
-                f"line {line_number}: unknown JSONL log format {log_format!r}"
-            )
+            raise LogFormatError(f"{where}: unknown JSONL log format {log_format!r}")
         version = payload.get("version", JSONL_VERSION)
         if version != JSONL_VERSION:
             raise LogFormatError(
-                f"line {line_number}: unsupported JSONL log version {version!r}"
+                f"{where}: unsupported JSONL log version {version!r}"
             )
         return None
     try:
         return record_from_dict(payload)
     except (KeyError, TypeError, ValueError) as exc:
-        raise LogFormatError(f"line {line_number}: invalid record: {exc}") from exc
+        raise LogFormatError(f"{where}: invalid record: {exc}") from exc
 
 
 def parse_jsonl_line(line: str, line_number: int = 0) -> JobRecord | TaskRecord | None:
@@ -197,7 +199,7 @@ def parse_jsonl_line(line: str, line_number: int = 0) -> JobRecord | TaskRecord 
         payload = json.loads(stripped)
     except json.JSONDecodeError as exc:
         raise LogFormatError(f"line {line_number}: invalid JSON: {exc}") from exc
-    return _jsonl_record(payload, line_number)
+    return _jsonl_record(payload, f"line {line_number}")
 
 
 def read_records_jsonl(path: str | Path) -> tuple[list[JobRecord], list[TaskRecord]]:
@@ -221,7 +223,7 @@ def read_records_jsonl(path: str | Path) -> tuple[list[JobRecord], list[TaskReco
                     raise LogFormatError(
                         f"line {line_number}: invalid JSON: {exc}"
                     ) from exc
-                record = _jsonl_record(payload, line_number)
+                record = _jsonl_record(payload, f"line {line_number}")
                 if isinstance(record, JobRecord):
                     jobs.append(record)
                 elif isinstance(record, TaskRecord):

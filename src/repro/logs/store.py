@@ -21,14 +21,10 @@ index entry or :class:`RecordBlock` snapshot can ever be served.  Callers
 who mutate the ``jobs``/``tasks`` lists in place directly (outside the
 API) must call :meth:`ExecutionLog.invalidate_caches` afterwards.
 
-This module also holds the first layer of the columnar pair pipeline: a
-:class:`RecordBlock` encodes a whole record list column-by-column (per raw
-feature: float values, numeric-eligibility and missing masks, and integer
-value codes for exact-equality tests) so that the pair kernels in
-:mod:`repro.core.pairkernel` can derive Table-1 pair features for millions
-of candidate pairs in bulk instead of record-dict probing per pair.  Blocks
-are built once per (entity kind, schema) and cached on the log
-(:meth:`ExecutionLog.record_block`) under the same mutation-version key.
+The log also caches the first layer of the columnar pair pipeline: the
+:class:`~repro.logs.chunkstore.RecordBlock` encoding of each entity kind,
+built once per (entity kind, schema) by :meth:`ExecutionLog.record_block`
+under the same mutation-version key and extended in place by appends.
 
 Concurrency contract: any number of threads may *read* one log at the same
 time — every lazily-derived structure (id indexes, per-job task groups,
@@ -47,422 +43,21 @@ import json
 import random
 import threading
 from dataclasses import dataclass, field
-from operator import and_, eq
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from repro.exceptions import DuplicateRecordError, LogFormatError
+from repro.logs.chunkstore import RecordBlock
 from repro.logs.records import (
     ExecutionRecord,
     FeatureValue,
     JobRecord,
     TaskRecord,
-    record_from_dict,
     record_to_dict,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.core.features import FeatureSchema
-
-#: The performance metric pseudo-feature (mirrors
-#: :data:`repro.core.features.PERFORMANCE_METRIC` without importing the
-#: core layer from the logs layer).
-_PERFORMANCE_METRIC = "duration"
-
-
-# --------------------------------------------------------------------- #
-# columnar record encoding (layer 1 of the pair pipeline)
-# --------------------------------------------------------------------- #
-
-
-class BlockColumn:
-    """One raw feature's values across a record list, encoded for kernels.
-
-    The encoding carries everything the pair kernels need to derive the
-    Table-1 pair features of this raw feature for arbitrary ``(i, j)``
-    index pairs without touching the record dicts again:
-
-    * ``raw`` — the original values (``None`` = missing), for ``diff``
-      strings and shared base values;
-    * ``codes`` — integer value codes under dict equality (``-1`` =
-      missing), so exact equality of two records is one integer compare;
-    * ``selfeq`` — per-record flag ``value == value`` (present and not
-      ``NaN``), the guard that keeps code equality faithful to ``==``;
-    * ``floats`` / ``num_ok`` — numeric features only: the ``float`` image
-      used by the tolerance/similarity rules and the per-record flag that
-      the value really is numeric (bools are nominal by fiat).
-    """
-
-    __slots__ = (
-        "name",
-        "numeric",
-        "raw",
-        "codes",
-        "selfeq",
-        "floats",
-        "num_ok",
-        "all_numeric",
-        "code_of",
-        "nan_code",
-        "next_code",
-    )
-
-    def __init__(self, name: str, numeric: bool) -> None:
-        self.name = name
-        self.numeric = numeric
-        self.raw: list[FeatureValue] = []
-        self.codes: list[int] = []
-        self.selfeq: bytearray = bytearray()
-        self.floats: list[float] = []
-        self.num_ok: bytearray = bytearray()
-        #: Every present value is numeric (lets kernels skip the
-        #: mixed-type equality fallback).
-        self.all_numeric: bool = False
-        self.code_of: dict[FeatureValue, int] = {}
-        #: The canonical NaN code (``-1`` = no NaN seen yet) and the next
-        #: unassigned code — the state incremental appends extend from.
-        self.nan_code: int = -1
-        self.next_code: int = 0
-
-    @classmethod
-    def from_values(
-        cls, name: str, values: Sequence[FeatureValue], numeric: bool
-    ) -> "BlockColumn":
-        """Encode one column of raw values (``None`` = missing).
-
-        Code assignment runs as C pipelines: distinct values are collected
-        with one ``set`` pass and codes are assigned by dict lookup mapped
-        over the column.  Code *numbering* is therefore arbitrary — kernels
-        only ever compare codes for equality, never for order.
-
-        NaN gets one **canonical** code: ``set`` dedups NaN by object
-        identity (``hash(nan)`` is id-based), so distinct NaN float objects
-        would otherwise get distinct codes and code equality would silently
-        depend on object identity.  ``selfeq`` masks NaN out of every
-        kernel equality today, but canonical codes are what lets
-        chunk-local code tables merge safely
-        (:mod:`repro.logs.chunkstore`) and survive serialisation, which
-        destroys object identity.
-        """
-        column = cls(name, numeric)
-        n = len(values)
-        raw = list(values)
-        column.raw = raw
-        distinct = set(raw)
-        distinct.discard(None)
-        code_of: dict[FeatureValue, int] = {}
-        nan_objects = []
-        for value in distinct:
-            if value != value:
-                nan_objects.append(value)
-            else:
-                code_of[value] = len(code_of)
-        column.next_code = len(code_of)
-        if nan_objects:
-            # Every NaN object shares the canonical NaN code (the id-based
-            # hashes still make each object an O(1) dict hit).
-            nan_code = len(code_of)
-            for value in nan_objects:
-                code_of[value] = nan_code
-            column.nan_code = nan_code
-            column.next_code = nan_code + 1
-        code_of[None] = -1
-        codes = list(map(code_of.__getitem__, raw))
-        del code_of[None]
-        column.code_of = code_of
-        column.codes = codes
-        present_mask = list(map((-1).__lt__, codes))
-        # ``value == value`` is false only for NaN (and None == None is
-        # masked out by presence).
-        column.selfeq = bytearray(map(and_, present_mask, map(eq, raw, raw)))
-        present = sum(present_mask)
-        if numeric:
-            # Kinds come from the full column, not ``distinct``: the set
-            # dedups ``True`` against ``1``, which could hide a bool.
-            kinds = set(map(type, raw))
-            kinds.discard(type(None))
-            if kinds <= {int, float}:
-                # Purely numeric column (bool is type-distinct from int):
-                # one C conversion pass; NaN stays float-eligible exactly
-                # like the isinstance path.
-                if present == n:
-                    column.floats = list(map(float, raw))
-                    column.num_ok = bytearray(b"\x01") * n
-                else:
-                    column.floats = [
-                        0.0 if value is None else float(value) for value in raw
-                    ]
-                    column.num_ok = bytearray(present_mask)
-                column.all_numeric = True
-                return column
-            floats = [0.0] * n
-            ok = bytearray(n)
-            numeric_count = 0
-            for index, value in enumerate(raw):
-                if isinstance(value, (int, float)) and not isinstance(value, bool):
-                    floats[index] = float(value)
-                    ok[index] = 1
-                    numeric_count += 1
-            column.floats = floats
-            column.num_ok = ok
-            column.all_numeric = numeric_count == present
-        return column
-
-    def __len__(self) -> int:
-        return len(self.raw)
-
-    def gather(self, source: str, indices: Sequence[int]) -> list:
-        """One encoded array (``codes``/``floats``/...) at ``indices``.
-
-        The kernels' only read path into a column: routing gathers through
-        the column lets :class:`~repro.logs.chunkstore.ChunkedColumn`
-        substitute per-chunk arrays behind the same call.
-        """
-        return list(map(getattr(self, source).__getitem__, indices))
-
-    def extend_encoded(self, values: Sequence[FeatureValue], codes: Sequence[int]) -> None:
-        """Append pre-coded values, maintaining every derived array.
-
-        ``codes`` must have been assigned against this column's code table
-        (:func:`_append_codes`); the per-value ``selfeq`` / ``floats`` /
-        ``num_ok`` updates follow exactly the rules of :meth:`from_values`,
-        so an extended column is indistinguishable from a fresh build over
-        the concatenated values (the differential suite pins this).
-        """
-        self.raw.extend(values)
-        self.codes.extend(codes)
-        selfeq = self.selfeq
-        for value, code in zip(values, codes):
-            selfeq.append(1 if code >= 0 and value == value else 0)
-        if self.numeric:
-            floats = self.floats
-            num_ok = self.num_ok
-            present = 0
-            numeric_count = 0
-            for value, code in zip(values, codes):
-                if code >= 0:
-                    present += 1
-                if isinstance(value, (int, float)) and not isinstance(value, bool):
-                    floats.append(float(value))
-                    num_ok.append(1)
-                    numeric_count += 1
-                else:
-                    floats.append(0.0)
-                    num_ok.append(0)
-            self.all_numeric = self.all_numeric and numeric_count == present
-
-    def extend_values(self, values: Sequence[FeatureValue]) -> None:
-        """Append raw values, extending the existing code table in place.
-
-        The O(delta) append path: only the new values are scanned; codes of
-        already-seen values come from the existing ``code_of`` table and
-        unseen values get fresh sequential codes (NaN keeps one canonical
-        slot).  Code *numbering* may therefore differ from a fresh
-        :meth:`from_values` over the concatenation — unobservable, since
-        kernels only ever compare codes for equality.
-        """
-        codes, self.nan_code, self.next_code = _append_codes(
-            self.code_of, values, self.nan_code, self.next_code
-        )
-        self.extend_encoded(values, codes)
-
-
-def _append_codes(
-    code_of: dict[FeatureValue, int],
-    values: Sequence[FeatureValue],
-    nan_code: int,
-    next_code: int,
-) -> tuple[list[int], int, int]:
-    """Assign codes for appended values against an existing code table.
-
-    Returns ``(codes, nan_code, next_code)``: the per-value codes (``-1``
-    for ``None``), the possibly newly-allocated canonical NaN code, and the
-    next free code.  ``code_of`` is extended in place, in first-occurrence
-    order over the new values.
-    """
-    codes: list[int] = []
-    append = codes.append
-    for value in values:
-        if value is None:
-            append(-1)
-            continue
-        code = code_of.get(value)
-        if code is None:
-            if value != value:
-                # Every NaN object maps onto the one canonical slot.
-                if nan_code < 0:
-                    nan_code = next_code
-                    next_code += 1
-                code = nan_code
-            else:
-                code = next_code
-                next_code += 1
-            code_of[value] = code
-        append(code)
-    return codes, nan_code, next_code
-
-
-class RecordBlock:
-    """A record list encoded column-by-column for the pair kernels.
-
-    Columns are built lazily per raw feature (a query usually touches a
-    handful of the schema), cached forever: blocks are only ever built for
-    append-only logs via :meth:`ExecutionLog.record_block`, which keys the
-    cache by record count.  ``duration`` reads the record's performance
-    metric, mirroring :func:`repro.core.pairs.compute_pair_feature`.
-    """
-
-    __slots__ = ("records", "schema", "ids", "id_bytes", "columns", "group_cache")
-
-    def __init__(self, records: Sequence[ExecutionRecord], schema: "FeatureSchema") -> None:
-        self.records: list[ExecutionRecord] = list(records)
-        self.schema = schema
-        #: Entity id per row, plus its UTF-8 image for hash-based sampling.
-        self.ids: list[str] = [record.entity_id for record in self.records]
-        self.id_bytes: list[bytes] = [entity_id.encode("utf-8") for entity_id in self.ids]
-        self.columns: dict[str, BlockColumn] = {}
-        #: Memoised blocking groups per feature tuple (see
-        #: :func:`_blocking_groups_of`); appends refresh only the groups
-        #: whose keys gained members.
-        self.group_cache: dict[tuple[str, ...], dict[tuple, list[int]]] = {}
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def column(self, name: str) -> BlockColumn:
-        """The (lazily built) encoded column of one raw feature."""
-        column = self.columns.get(name)
-        if column is None:
-            column = BlockColumn.from_values(
-                name, _column_values(self.records, name), self.schema.is_numeric(name)
-            )
-            self.columns[name] = column
-        return column
-
-    def key_chunks(
-        self, features: Sequence[str]
-    ) -> Iterable[tuple[int, list[Sequence[int]], list[Sequence[int]]]]:
-        """``(start row, code slices, selfeq slices)`` per partition.
-
-        The partition-agnostic read path for blocking-group construction
-        (:func:`repro.core.pairkernel.blocking_group_indices`): an
-        in-memory block is one partition covering every row; a
-        :class:`~repro.logs.chunkstore.ChunkedRecordBlock` yields one entry
-        per chunk with global value codes.
-        """
-        columns = [self.column(feature) for feature in features]
-        yield (
-            0,
-            [column.codes for column in columns],
-            [column.selfeq for column in columns],
-        )
-
-    def blocking_groups(self, features: Sequence[str]) -> list[list[int]]:
-        """Record indices grouped by blocked value codes (memoised).
-
-        Same contract as
-        :func:`repro.core.pairkernel.blocking_group_indices`, which
-        delegates here: groups in first-occurrence order, rows with a
-        missing or NaN blocked value dropped.  The group dict is cached per
-        feature tuple and maintained in place by :meth:`extend_from`, so a
-        growing log pays O(delta) per append instead of a full regroup.
-        """
-        return _blocking_groups_of(self, features)
-
-    def extend_from(self, records: Sequence[ExecutionRecord]) -> None:
-        """Append records in O(delta), maintaining every built structure.
-
-        New rows extend ``records``/``ids``/``id_bytes``, every
-        already-encoded column grows through
-        :meth:`BlockColumn.extend_values` (existing code tables extended,
-        never rebuilt), and cached blocking groups gain only the new rows'
-        memberships.
-        """
-        records = list(records)
-        if not records:
-            return
-        start = len(self.records)
-        self.records.extend(records)
-        new_ids = [record.entity_id for record in records]
-        self.ids.extend(new_ids)
-        self.id_bytes.extend(entity_id.encode("utf-8") for entity_id in new_ids)
-        for name, column in self.columns.items():
-            column.extend_values(_column_values(records, name))
-        _extend_group_cache(self, start)
-
-
-def _column_values(
-    records: "Sequence[ExecutionRecord]", name: str
-) -> list[FeatureValue]:
-    """One raw column of a record list (the block encoding input)."""
-    if name == _PERFORMANCE_METRIC:
-        return [record.duration for record in records]
-    return [record.features.get(name) for record in records]
-
-
-#: Blocking-feature tuples memoised per block.  A realistic query mix uses
-#: a handful of despite clauses per log; the cap only bounds adversarial
-#: churn (each cached tuple holds O(rows) index lists).
-MAX_GROUP_CACHE = 8
-
-
-def _blocking_groups_of(block, features: Sequence[str]) -> list[list[int]]:
-    """The memoised blocking groups of a block, as fresh index-list copies.
-
-    Shared by :class:`RecordBlock` and
-    :class:`~repro.logs.chunkstore.ChunkedRecordBlock` (both expose the
-    ``key_chunks`` / ``group_cache`` surface this reads).  Returns copies so
-    kernels that consume the lists destructively cannot corrupt the cache.
-
-    Deliberately lock-free so forked kernel workers can call it without
-    touching a parent-held lock: a cold key is built into a local dict and
-    *published* with one atomic assignment.  Two racing readers may both
-    build (identical, deterministic) groups — the loser's write is a
-    harmless overwrite — and eviction tolerates a concurrent evictor
-    having emptied the cache first.
-    """
-    key = tuple(features)
-    cache = block.group_cache
-    groups = cache.get(key)
-    if groups is None:
-        if len(cache) >= MAX_GROUP_CACHE:
-            try:
-                cache.pop(next(iter(cache)))
-            except (StopIteration, KeyError, RuntimeError):
-                pass
-        groups = {}
-        for start, code_slices, selfeq_slices in block.key_chunks(features):
-            for offset, codes in enumerate(zip(*code_slices)):
-                if -1 in codes:
-                    continue
-                if not all(selfeq[offset] for selfeq in selfeq_slices):
-                    continue
-                groups.setdefault(codes, []).append(start + offset)
-        cache[key] = groups
-    return [list(group) for group in groups.values()]
-
-
-def _extend_group_cache(block, start: int) -> None:
-    """Add rows ``[start, len(block))`` to every cached blocking group.
-
-    Only groups whose keys gained members are touched; first-occurrence
-    order is preserved because new keys land at the end of the group dict,
-    exactly where a fresh regroup would place them.
-    """
-    n = len(block.records)
-    if start >= n or not block.group_cache:
-        return
-    rows = range(start, n)
-    for features, groups in block.group_cache.items():
-        columns = [block.column(feature) for feature in features]
-        code_rows = zip(*(column.gather("codes", rows) for column in columns))
-        selfeq_rows = zip(*(column.gather("selfeq", rows) for column in columns))
-        for offset, (codes, selfeq) in enumerate(zip(code_rows, selfeq_rows)):
-            if -1 in codes:
-                continue
-            if not all(selfeq):
-                continue
-            groups.setdefault(codes, []).append(start + offset)
 
 
 def _schema_signature(schema: "FeatureSchema") -> tuple:
@@ -475,33 +70,31 @@ def _schema_signature(schema: "FeatureSchema") -> tuple:
 #: distinct ``(kind, schema fingerprint)`` forever.
 MAX_BLOCKS_PER_KIND = 4
 
-#: Record count at which :meth:`ExecutionLog.record_block` switches to a
-#: chunked block automatically (overridable per log via
-#: :meth:`ExecutionLog.configure_blocks`).
+#: Record count from which a block whose ``chunk_rows`` is unset gets
+#: :data:`DEFAULT_CHUNK_ROWS`-row chunks instead of one chunk per column.
 AUTO_CHUNK_THRESHOLD = 200_000
 
-#: Rows per chunk when chunking is enabled without an explicit size.
+#: Rows per chunk past :data:`AUTO_CHUNK_THRESHOLD`.
 DEFAULT_CHUNK_ROWS = 16_384
 
 
 @dataclass(frozen=True)
 class BlockOptions:
-    """Per-log :class:`RecordBlock` construction policy.
+    """Per-log :class:`~repro.logs.chunkstore.RecordBlock` construction policy.
 
-    :param chunk_rows: fixed chunk size; ``None`` = chunk only past
-        ``auto_chunk_threshold`` (at :data:`DEFAULT_CHUNK_ROWS` rows).
+    :param chunk_rows: rows per column chunk; ``None`` = one chunk per
+        column that grows with appends, or :data:`DEFAULT_CHUNK_ROWS` once
+        the kind holds :data:`AUTO_CHUNK_THRESHOLD` records.
     :param max_resident_chunks: LRU-pinned working set of encoded column
-        chunks; beyond it, chunks spill to disk.  ``None`` = never spill.
+        chunks per block; beyond it, chunks spill to disk.  ``None`` =
+        never spill.
     :param spill_directory: parent directory for the spill files
         (``None`` = the system temp directory).
-    :param auto_chunk_threshold: record count that triggers automatic
-        chunking when ``chunk_rows`` is unset.
     """
 
     chunk_rows: int | None = None
     max_resident_chunks: int | None = None
     spill_directory: "str | Path | None" = None
-    auto_chunk_threshold: int = AUTO_CHUNK_THRESHOLD
 
 
 @dataclass
@@ -545,8 +138,8 @@ class ExecutionLog:
     #: Cached blocks refreshed in place by the O(delta) append path
     #: (:meth:`record_block` / :meth:`flush_appends`).
     _block_extends: int = field(default=0, init=False, repr=False, compare=False)
-    _block_options: BlockOptions | None = field(
-        default=None, init=False, repr=False, compare=False
+    _block_options: BlockOptions = field(
+        default_factory=BlockOptions, init=False, repr=False, compare=False
     )
     #: Guards every lazily-derived structure above (id indexes, the
     #: per-job task groups, the block cache and its counters) so any
@@ -873,18 +466,17 @@ class ExecutionLog:
         chunk_rows: int | None = None,
         max_resident_chunks: int | None = None,
         spill_directory: "str | Path | None" = None,
-        auto_chunk_threshold: int = AUTO_CHUNK_THRESHOLD,
     ) -> None:
         """Set this log's :class:`RecordBlock` construction policy.
 
         See :class:`BlockOptions` for the parameters.  When the policy
         actually changes, cached blocks are dropped so the new layout takes
-        effect on the next :meth:`record_block` call; chunked and in-memory
-        blocks are bit-identical to the kernels, so reconfiguring never
-        changes results — only memory behaviour.  Re-applying the current
-        policy keeps the cached blocks but flushes any pending un-encoded
-        appends into them first (:meth:`flush_appends`): a kept block must
-        never serve a stale tail.
+        effect on the next :meth:`record_block` call; every chunking and
+        working-set bound is bit-identical to the kernels, so reconfiguring
+        never changes results — only memory behaviour.  Re-applying the
+        current policy keeps the cached blocks but flushes any pending
+        un-encoded appends into them first (:meth:`flush_appends`): a kept
+        block must never serve a stale tail.
         """
         if chunk_rows is not None and chunk_rows < 1:
             raise ValueError("chunk_rows must be >= 1")
@@ -894,7 +486,6 @@ class ExecutionLog:
             chunk_rows=chunk_rows,
             max_resident_chunks=max_resident_chunks,
             spill_directory=spill_directory,
-            auto_chunk_threshold=auto_chunk_threshold,
         )
         with self._derive_lock:
             if options == self._block_options:
@@ -942,11 +533,9 @@ class ExecutionLog:
         The cache is bounded: stale entries of a kind are evicted when
         their epoch no longer matches the log, and only the
         :data:`MAX_BLOCKS_PER_KIND` most recently used schemas per kind are
-        retained (:meth:`block_cache_stats` reports the counters).  Logs at
-        or past the auto-chunk threshold — or explicitly configured via
-        :meth:`configure_blocks` — get a
-        :class:`~repro.logs.chunkstore.ChunkedRecordBlock` instead of a
-        monolithic block; both present the same surface to the kernels.
+        retained (:meth:`block_cache_stats` reports the counters).  New
+        blocks follow the policy set by :meth:`configure_blocks`
+        (:class:`BlockOptions`).
 
         :param schema: the raw-feature schema to encode under.
         :param kind: ``"job"`` or ``"task"``.
@@ -968,7 +557,13 @@ class ExecutionLog:
                 if block is not None:
                     return block
             self._block_counters[1] += 1
-            block = self._build_block(records, schema)
+            block = RecordBlock(
+                records,
+                schema,
+                chunk_rows=self._chunk_layout_for(len(records)),
+                max_resident_chunks=self._block_options.max_resident_chunks,
+                spill_directory=self._block_options.spill_directory,
+            )
             if key in self._blocks:
                 del self._blocks[key]
             self._blocks[key] = (mutation_key, block)
@@ -1012,8 +607,7 @@ class ExecutionLog:
         if (
             cached_key[0] != mutation_key[0]
             or cached_key[1] >= mutation_key[1]
-            or self._chunk_layout_for(mutation_key[1])
-            != getattr(block, "chunk_rows", None)
+            or self._chunk_layout_for(mutation_key[1]) != block.chunk_rows
         ):
             return None
         block.extend_from(records[cached_key[1] :])
@@ -1022,13 +616,9 @@ class ExecutionLog:
 
     def _chunk_layout_for(self, count: int) -> int | None:
         """The chunk size a block over ``count`` records would get now."""
-        options = self._block_options
-        chunk_rows = options.chunk_rows if options is not None else None
-        threshold = (
-            options.auto_chunk_threshold if options is not None else AUTO_CHUNK_THRESHOLD
-        )
-        if chunk_rows is None and count >= threshold:
-            chunk_rows = DEFAULT_CHUNK_ROWS
+        chunk_rows = self._block_options.chunk_rows
+        if chunk_rows is None and count >= AUTO_CHUNK_THRESHOLD:
+            return DEFAULT_CHUNK_ROWS
         return chunk_rows
 
     def flush_appends(self) -> int:
@@ -1063,27 +653,6 @@ class ExecutionLog:
                     del self._blocks[key]
                     self._block_counters[2] += 1
         return refreshed
-
-    def _build_block(
-        self, records: "Sequence[ExecutionRecord]", schema: "FeatureSchema"
-    ) -> RecordBlock:
-        options = self._block_options
-        chunk_rows = self._chunk_layout_for(len(records))
-        if chunk_rows is None:
-            return RecordBlock(records, schema)
-        from repro.logs.chunkstore import ChunkedRecordBlock
-
-        return ChunkedRecordBlock(
-            records,
-            schema,
-            chunk_rows=chunk_rows,
-            max_resident_chunks=(
-                options.max_resident_chunks if options is not None else None
-            ),
-            spill_directory=(
-                options.spill_directory if options is not None else None
-            ),
-        )
 
     def _evict_blocks(self, kind: str, epoch: int) -> None:
         """Drop unrecoverable blocks of a kind, keep the newest N others.
@@ -1173,22 +742,45 @@ class ExecutionLog:
 
     @classmethod
     def from_json(cls, text: str) -> "ExecutionLog":
-        """Parse a log previously produced by :meth:`to_json`."""
+        """Parse a log previously produced by :meth:`to_json`.
+
+        Validation matches a ``.jsonl`` log's: every record goes through
+        the JSONL record parser and the log is built with :meth:`extend`,
+        so a malformed document or record raises
+        :class:`~repro.exceptions.LogFormatError` and a repeated id
+        :class:`~repro.exceptions.DuplicateRecordError`.
+        """
+        from repro.logs.parser import _jsonl_record
+
         try:
             payload = json.loads(text)
         except json.JSONDecodeError as exc:
             raise LogFormatError(f"invalid execution-log JSON: {exc}") from exc
+        if not isinstance(payload, dict):
+            raise LogFormatError(
+                "invalid execution-log JSON: expected an object with 'jobs' "
+                f"and 'tasks' lists, got {type(payload).__name__}"
+            )
+        sections: dict[str, list] = {}
+        for section, record_type in (("jobs", JobRecord), ("tasks", TaskRecord)):
+            entries = payload.get(section, [])
+            if not isinstance(entries, list):
+                raise LogFormatError(
+                    f"invalid execution-log JSON: {section!r} must be a list"
+                )
+            records = []
+            for position, entry in enumerate(entries):
+                where = f"{section}[{position}]"
+                record = _jsonl_record(entry, where)
+                if not isinstance(record, record_type):
+                    raise LogFormatError(
+                        f"{where}: found a non-{section[:-1]} record in the "
+                        f"{section} section"
+                    )
+                records.append(record)
+            sections[section] = records
         log = cls()
-        for job_payload in payload.get("jobs", []):
-            record = record_from_dict(job_payload)
-            if not isinstance(record, JobRecord):
-                raise LogFormatError("found a non-job record in the jobs section")
-            log.jobs.append(record)
-        for task_payload in payload.get("tasks", []):
-            record = record_from_dict(task_payload)
-            if not isinstance(record, TaskRecord):
-                raise LogFormatError("found a non-task record in the tasks section")
-            log.tasks.append(record)
+        log.extend(jobs=sections["jobs"], tasks=sections["tasks"])
         return log
 
     @staticmethod
@@ -1221,26 +813,28 @@ class ExecutionLog:
         from repro.logs.writer import open_log_text
 
         source = Path(path)
-        if cls._is_jsonl(source):
-            jobs, tasks = read_records_jsonl(source)
-            log = cls()
-            try:
-                log.extend(jobs=jobs, tasks=tasks)
-            except DuplicateRecordError as exc:
-                # A duplicate id inside a *file* must name the path too;
-                # re-raise the same type so callers keep the stable
-                # kind/record_id fields.
-                raise DuplicateRecordError(
-                    f"invalid execution log {source}: {exc}",
-                    kind=exc.kind,
-                    record_id=exc.record_id,
-                ) from exc
-            return log
         try:
-            with open_log_text(source, "r") as handle:
-                text = handle.read()
-        except (OSError, EOFError) as exc:
-            if not source.exists():
-                raise
-            raise LogFormatError(f"cannot read execution log {source}: {exc}") from exc
-        return cls.from_json(text)
+            if cls._is_jsonl(source):
+                jobs, tasks = read_records_jsonl(source)
+                log = cls()
+                log.extend(jobs=jobs, tasks=tasks)
+                return log
+            try:
+                with open_log_text(source, "r") as handle:
+                    text = handle.read()
+            except (OSError, EOFError) as exc:
+                if not source.exists():
+                    raise
+                raise LogFormatError(
+                    f"cannot read execution log {source}: {exc}"
+                ) from exc
+            return cls.from_json(text)
+        except DuplicateRecordError as exc:
+            # A duplicate id inside a *file* must name the path too;
+            # re-raise the same type so callers keep the stable
+            # kind/record_id fields.
+            raise DuplicateRecordError(
+                f"invalid execution log {source}: {exc}",
+                kind=exc.kind,
+                record_id=exc.record_id,
+            ) from exc

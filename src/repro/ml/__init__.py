@@ -17,8 +17,6 @@ Weka is available offline, so this package provides:
 * :mod:`repro.ml.decision_tree` — a small C4.5-flavoured decision tree used
   in tests and ablations to contrast plain classification with PerfXplain's
   explanation objective;
-* :mod:`repro.ml.rowpath` — the frozen pre-columnar reference
-  implementation, kept for differential testing and benchmarking;
 * :mod:`repro.ml.ranking` — percentile-rank normalisation used when
   combining precision and generality scores.
 """

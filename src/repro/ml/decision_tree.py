@@ -19,7 +19,7 @@ prefix-count sweep.  Split ties are broken explicitly by
 operator), never by iteration accidents.
 
 The frozen row-oriented reference implementation lives in
-:mod:`repro.ml.rowpath`; the differential suite asserts both produce
+``tests/oracles/rowpath.py``; the differential suite asserts both produce
 identical trees.
 """
 

@@ -87,17 +87,12 @@ class PerfXplainService:
     :param catalog: the named logs (and their shared sessions) to serve.
     :param max_workers: thread-pool size for query execution; ``None``
         uses :data:`DEFAULT_MAX_WORKERS` (derived from ``os.cpu_count()``).
-    :param serialize_reads: compatibility/baseline mode — take the
-        exclusive write side of the per-log lock for read requests too,
-        restoring the old one-query-at-a-time-per-log behaviour.  The
-        concurrent-read benchmark uses it as its sequential baseline.
     """
 
     def __init__(
         self,
         catalog: LogCatalog,
         max_workers: int | None = None,
-        serialize_reads: bool = False,
     ) -> None:
         if max_workers is None:
             max_workers = DEFAULT_MAX_WORKERS
@@ -105,7 +100,6 @@ class PerfXplainService:
             raise ValueError("max_workers must be >= 1")
         self.catalog = catalog
         self.max_workers = max_workers
-        self.serialize_reads = serialize_reads
         self._pool = ThreadPoolExecutor(
             max_workers=max_workers, thread_name_prefix="perfxplain"
         )
@@ -117,13 +111,9 @@ class PerfXplainService:
         self._latency = LatencyRecorder(kinds=REQUEST_KINDS)
 
     def _read_side(self, name: str) -> AbstractContextManager[None]:
-        """The lock context a read request holds for one log.
-
-        The shared read side normally; the exclusive write side when the
-        service was built with ``serialize_reads=True``.
-        """
-        lock = self.catalog.lock(name)
-        return lock.write_locked() if self.serialize_reads else lock.read_locked()
+        """The lock context a read request holds for one log: the shared
+        read side of its reader-writer lock."""
+        return self.catalog.lock(name).read_locked()
 
     # ------------------------------------------------------------------ #
     # execution
@@ -407,7 +397,6 @@ class PerfXplainService:
         """
         report = self.stats()
         report["max_workers"] = self.max_workers
-        report["serialize_reads"] = self.serialize_reads
         report["latency_ms"] = self._latency.snapshot()
         report["shard_pool"] = default_shard_pool().stats()
         return report

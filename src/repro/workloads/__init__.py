@@ -13,7 +13,7 @@ package recreates that pipeline:
   simulator :class:`~repro.cluster.jobs.JobSpec` objects;
 * :mod:`repro.workloads.runner` — run one configured job through the
   simulator + monitoring and emit execution-log records (columnar task
-  batches, engine selection, provenance stamps);
+  batches, provenance stamps);
 * :mod:`repro.workloads.grid` — the Table 2 parameter grid and the
   (optionally process-parallel) sweep executor that builds a full
   experiment log;
@@ -35,7 +35,7 @@ from repro.workloads.pig import (
     PIG_SCRIPTS,
     compile_pig_job,
 )
-from repro.workloads.runner import ENGINES, WorkloadRun, run_workload
+from repro.workloads.runner import WorkloadRun, run_workload
 from repro.workloads.grid import (
     GridPoint,
     ParameterGrid,
@@ -67,7 +67,6 @@ __all__ = [
     "SIMPLE_DISTINCT",
     "PIG_SCRIPTS",
     "compile_pig_job",
-    "ENGINES",
     "WorkloadRun",
     "run_workload",
     "GridPoint",

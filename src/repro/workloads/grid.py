@@ -174,7 +174,6 @@ class _SweepCell:
     profile: ExciteLogProfile
     sampling_period: float
     include_tasks: bool
-    engine: str
 
 
 def _simulate_cell(cell: _SweepCell) -> tuple[JobRecord, list[TaskRecord]]:
@@ -196,7 +195,6 @@ def _simulate_cell(cell: _SweepCell) -> tuple[JobRecord, list[TaskRecord]]:
         sampling_period=cell.sampling_period,
         submit_time=0.0,
         extra_metadata={"grid_repetition": cell.repetition},
-        engine=cell.engine,
     )
     return run.job_record, run.task_records if cell.include_tasks else []
 
@@ -233,7 +231,6 @@ def build_experiment_log(
     profile: ExciteLogProfile = DEFAULT_PROFILE,
     sampling_period: float = 5.0,
     include_tasks: bool = True,
-    engine: str = "event",
     workers: int = 1,
 ) -> ExecutionLog:
     """Run every grid point through the simulator and collect the log.
@@ -248,8 +245,6 @@ def build_experiment_log(
     :param sampling_period: Ganglia sampling period in seconds.
     :param include_tasks: whether task records are kept (task-level queries
         need them; job-level experiments can skip them to save memory).
-    :param engine: simulation engine (``"event"`` or ``"reference"``, see
-        :data:`repro.workloads.runner.ENGINES`).
     :param workers: worker processes for the sweep.  ``1`` runs in-process;
         any value produces the same log (per-cell seeds are pre-derived and
         results merge in deterministic grid order).
@@ -274,7 +269,6 @@ def build_experiment_log(
                     profile=profile,
                     sampling_period=sampling_period,
                     include_tasks=include_tasks,
-                    engine=engine,
                 )
             )
 

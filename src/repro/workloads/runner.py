@@ -34,7 +34,6 @@ from itertools import repeat
 from repro.cluster.cluster import Cluster, ClusterSpec
 from repro.cluster.config import MapReduceConfig
 from repro.cluster.engine import SimulationEngine, SimulationResult, TaskExecution
-from repro.cluster.engineref import ReferenceSimulationEngine
 from repro.cluster.faults import NO_FAULTS, FaultModel
 from repro.cluster.hdfs import Dataset
 from repro.cluster.jobs import make_job_id
@@ -48,15 +47,6 @@ from repro.monitoring.aggregate import (
 from repro.monitoring.sampler import GangliaSampler
 from repro.workloads.excite import DEFAULT_PROFILE, ExciteLogProfile
 from repro.workloads.pig import PigScript, compile_pig_job
-
-#: Engine implementations selectable by name.  ``event`` is the incremental
-#: event-core engine; ``reference`` is the frozen pre-overhaul loop kept for
-#: differential testing and throughput baselines.
-ENGINES = {
-    "event": SimulationEngine,
-    "reference": ReferenceSimulationEngine,
-}
-
 
 @dataclass
 class WorkloadRun:
@@ -80,7 +70,6 @@ def run_workload(
     sampling_period: float = 5.0,
     submit_time: float = 0.0,
     extra_metadata: dict[str, FeatureValue] | None = None,
-    engine: str = "event",
     scenario: str | None = None,
     scenario_variant: str | None = None,
     cluster_spec: ClusterSpec | None = None,
@@ -101,7 +90,6 @@ def run_workload(
     :param sampling_period: Ganglia sampling period in seconds.
     :param submit_time: wall-clock submission time of the job.
     :param extra_metadata: additional job-level features to record verbatim.
-    :param engine: simulation engine name (see :data:`ENGINES`).
     :param scenario: scenario identifier stamped into every record (set by
         the :mod:`repro.workloads.scenarios` builders).
     :param scenario_variant: scenario variant label (e.g. ``"baseline"`` /
@@ -112,10 +100,6 @@ def run_workload(
         is not local and must be read over the network (cold HDFS caches,
         rack-remote replicas).
     """
-    engine_cls = ENGINES.get(engine)
-    if engine_cls is None:
-        known = ", ".join(sorted(ENGINES))
-        raise WorkloadError(f"unknown engine {engine!r}; known engines: {known}")
     if cluster_spec is None:
         cluster_spec = ClusterSpec(num_instances=num_instances)
     elif cluster_spec.num_instances != num_instances:
@@ -151,7 +135,7 @@ def run_workload(
         locality_miss_fraction=locality_miss_fraction,
     )
 
-    sim_engine = engine_cls(cluster, fault_model=fault_model, rng=rng)
+    sim_engine = SimulationEngine(cluster, fault_model=fault_model, rng=rng)
     result = sim_engine.run(spec)
     result.engine_seed = seed
     result.scenario = scenario

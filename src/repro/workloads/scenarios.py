@@ -184,7 +184,6 @@ class Scenario:
 def build_scenario_log(
     scenario: Scenario,
     seed: int = 0,
-    engine: str = "event",
     profile: ExciteLogProfile = DEFAULT_PROFILE,
     job_sequence_start: int = 0,
     log: ExecutionLog | None = None,
@@ -199,8 +198,6 @@ def build_scenario_log(
 
     :param scenario: the catalog entry to simulate.
     :param seed: base seed for the per-job seed stream.
-    :param engine: simulation engine name (see
-        :data:`repro.workloads.runner.ENGINES`).
     :param profile: synthetic Excite data profile.
     :param job_sequence_start: offset for minted job ids (lets several
         scenario logs merge without id collisions).
@@ -229,7 +226,6 @@ def build_scenario_log(
                 profile=profile,
                 sampling_period=scenario.sampling_period,
                 submit_time=submit_clock,
-                engine=engine,
                 scenario=scenario.name,
                 scenario_variant=variant.label,
                 cluster_spec=variant.cluster_spec(),
@@ -243,7 +239,6 @@ def build_scenario_log(
 def build_catalog_log(
     scenarios: "list[Scenario] | tuple[Scenario, ...] | None" = None,
     seed: int = 0,
-    engine: str = "event",
 ) -> ExecutionLog:
     """One merged log covering several scenarios (distinct job ids)."""
     if scenarios is None:
@@ -253,7 +248,6 @@ def build_catalog_log(
         build_scenario_log(
             scenario,
             seed=seed + position,
-            engine=engine,
             job_sequence_start=1000 * (position + 1),
             log=log,
         )

@@ -2,7 +2,7 @@
 
 The event-core engine (:mod:`repro.cluster.engine`) must be a pure
 re-organisation of the reference processor-sharing loop preserved in
-:mod:`repro.cluster.engineref`: same rates, same steps, same records.  This
+:mod:`tests.oracles.engineref`: same rates, same steps, same records.  This
 file runs both engines over randomized clusters (sizes, instance types,
 speed jitter, background-load models), randomized jobs (phase mixes
 including zero-length phases, map/reduce counts, slot configurations,
@@ -26,10 +26,11 @@ from repro.cluster.background import BackgroundLoadModel
 from repro.cluster.cluster import ClusterSpec
 from repro.cluster.config import MapReduceConfig
 from repro.cluster.engine import SimulationEngine
-from repro.cluster.engineref import ReferenceSimulationEngine
 from repro.cluster.faults import NO_FAULTS, FaultModel
 from repro.cluster.jobs import JobSpec, make_task_id
 from repro.cluster.tasks import Phase, PhaseKind, TaskAttempt, TaskType
+
+from tests.oracles.engineref import ReferenceSimulationEngine
 
 #: Randomized configurations exercised by every differential test (the
 #: acceptance bar asks for at least 40).

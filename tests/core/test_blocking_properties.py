@@ -18,13 +18,15 @@ from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.examples import _blocking_features, _group_records
+from repro.core.examples import _blocking_features
 from repro.core.features import FeatureKind, FeatureSchema
 from repro.core.pairkernel import blocking_group_indices
 from repro.core.pxql.ast import Comparison, Operator, Predicate
 from repro.core.pxql.query import EntityKind, PXQLQuery
 from repro.logs.records import JobRecord
 from repro.logs.store import ExecutionLog
+
+from tests.oracles.pairref import group_records_reference
 
 #: Candidate raw features (name, kind, value pool).  Pools are tiny to
 #: force collisions, and every pool includes missing values; ``epsilon``
@@ -109,7 +111,7 @@ def test_blocking_only_from_is_same_equals_t_atoms(data):
 def test_groups_drop_missing_and_agree_on_blocked_values(data):
     schema, records, query = data
     blocking = _blocking_features(query, schema)
-    groups = _group_records(records, blocking)
+    groups = group_records_reference(records, blocking)
     grouped = [record for group in groups for record in group]
     if blocking:
         for record in records:
@@ -135,7 +137,7 @@ def test_kernel_groups_match_reference_groups(data):
     log = ExecutionLog(jobs=list(records))
     block = log.record_block(schema, kind="job")
     kernel_groups = blocking_group_indices(block, blocking)
-    reference_groups = _group_records(records, blocking)
+    reference_groups = group_records_reference(records, blocking)
     as_records = [[records[index] for index in group] for group in kernel_groups]
     assert as_records == reference_groups
 
@@ -150,6 +152,6 @@ def test_chunked_kernel_groups_match_reference_groups(data):
     log.configure_blocks(chunk_rows=5, max_resident_chunks=2)
     block = log.record_block(schema, kind="job")
     kernel_groups = blocking_group_indices(block, blocking)
-    reference_groups = _group_records(records, blocking)
+    reference_groups = group_records_reference(records, blocking)
     as_records = [[records[index] for index in group] for group in kernel_groups]
     assert as_records == reference_groups

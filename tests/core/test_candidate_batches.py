@@ -22,11 +22,12 @@ from repro.core.pairkernel import (
     keep_limit,
     pair_is_kept,
 )
-from repro.core.pairref import iter_related_pairs_reference
 from repro.core.pxql.ast import Comparison, Operator, Predicate
 from repro.core.pxql.query import EntityKind, PXQLQuery
 from repro.logs.records import JobRecord
 from repro.logs.store import ExecutionLog
+
+from tests.oracles.pairref import iter_related_pairs_reference
 
 #: Group sizes chosen to straddle every interesting boundary: singletons
 #: (no pairs), a pair, and groups whose pair counts cross small batch sizes.

@@ -39,12 +39,6 @@ class TestGenerateLog:
                      "--output", str(path)]) == 0
         assert ExecutionLog.load(path).num_tasks == 0
 
-    def test_reference_engine_flag_builds_identical_log(self, log_path, tmp_path):
-        path = tmp_path / "reference.json"
-        assert main(["generate-log", "--grid", "tiny", "--seed", "11",
-                     "--engine", "reference", "--output", str(path)]) == 0
-        assert ExecutionLog.load(path).to_json() == ExecutionLog.load(log_path).to_json()
-
 
 class TestGenerateScenario:
     def test_scenario_log_is_stamped(self, tmp_path):
@@ -93,6 +87,20 @@ class TestExplain:
         assert main(["explain", "--log", str(log_path),
                      "--query", str(query_path)]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_malformed_json_log_reports_error(self, tmp_path, capsys):
+        log_path = tmp_path / "broken.json"
+        log_path.write_text('{"jobs": [5], "tasks": []}', encoding="utf-8")
+        query_path = tmp_path / "query.pxql"
+        query_path.write_text(
+            "FOR JOBS ?, ?\nOBSERVED duration_compare = GT\n"
+            "EXPECTED duration_compare = SIM\n",
+            encoding="utf-8",
+        )
+        assert main(["explain", "--log", str(log_path),
+                     "--query", str(query_path)]) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
 
 
 class TestExplainJson:

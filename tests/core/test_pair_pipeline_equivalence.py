@@ -2,7 +2,7 @@
 
 The kernel pipeline (`RecordBlock` -> `PairKernel` -> `TrainingMatrix`) must
 be a pure re-layout of the pair-at-a-time dict algorithm preserved in
-:mod:`repro.core.pairref`: on any log and query it must produce **identical**
+:mod:`tests.oracles.pairref`: on any log and query it must produce **identical**
 related pairs (ids, labels *and order*), identical training examples
 (feature vectors included) and an identical encoded training matrix.  This
 file checks that on 48 randomized logs mixing nominal/numeric/bool/int
@@ -30,10 +30,6 @@ from repro.core.features import (
     FeatureSchema,
     infer_schema,
 )
-from repro.core.pairref import (
-    construct_training_examples_reference,
-    iter_related_pairs_reference,
-)
 from repro.core.pairs import PairFeatureConfig, compute_pair_features
 from repro.core.explanation import Explanation, ExplanationMetrics, evaluate_explanation
 from repro.core.evaluation import measure_on_log
@@ -41,6 +37,11 @@ from repro.core.pxql.ast import Comparison, Operator, Predicate
 from repro.core.pxql.query import EntityKind, PXQLQuery
 from repro.logs.records import JobRecord
 from repro.logs.store import ExecutionLog
+
+from tests.oracles.pairref import (
+    construct_training_examples_reference,
+    iter_related_pairs_reference,
+)
 
 #: Randomized log/query seeds exercised by every differential test.
 DATASET_SEEDS = list(range(48))

@@ -1,13 +1,15 @@
 """Tests for chunked record blocks and the spill-to-disk chunk store."""
 
 import os
+import random
 
 import pytest
 
-from repro.core.features import FeatureKind, FeatureSchema
-from repro.logs.chunkstore import ChunkedRecordBlock, ChunkStore
+from repro.core.api import PerfXplainSession
+from repro.core.features import FeatureKind, FeatureSchema, infer_schema
+from repro.logs.chunkstore import BlockColumn, ChunkStore, RecordBlock
 from repro.logs.records import JobRecord
-from repro.logs.store import BlockColumn, ExecutionLog, RecordBlock
+from repro.logs.store import DEFAULT_CHUNK_ROWS, ExecutionLog
 
 
 def make_jobs(values, feature="tag", duration=1.0):
@@ -95,7 +97,7 @@ class TestChunkedColumn:
         records = make_jobs(values, feature=name)
         schema = schema_of(name, kind)
         monolithic = RecordBlock(records, schema).column(name)
-        chunked_block = ChunkedRecordBlock(
+        chunked_block = RecordBlock(
             records, schema, chunk_rows=chunk_rows,
             max_resident_chunks=max_resident,
         )
@@ -155,7 +157,7 @@ class TestChunkedColumn:
         name = "tag"
         values = ["a", "b", "a", "c", "b", "a", "d", "a"]
         records = make_jobs(values, feature=name)
-        block = ChunkedRecordBlock(
+        block = RecordBlock(
             records, schema_of(name, FeatureKind.NOMINAL),
             chunk_rows=2, max_resident_chunks=1, spill_directory=tmp_path,
         )
@@ -171,7 +173,7 @@ class TestChunkedRecordBlock:
         records = make_jobs(["a", "b", "c", "a"])
         schema = schema_of("tag", FeatureKind.NOMINAL)
         monolithic = RecordBlock(records, schema)
-        chunked = ChunkedRecordBlock(records, schema, chunk_rows=3)
+        chunked = RecordBlock(records, schema, chunk_rows=3)
         assert len(chunked) == len(monolithic)
         assert chunked.ids == monolithic.ids
         assert chunked.id_bytes == monolithic.id_bytes
@@ -183,13 +185,13 @@ class TestChunkedRecordBlock:
         schema = FeatureSchema()
         schema.add("tag", FeatureKind.NOMINAL)
         schema.add("duration", FeatureKind.NUMERIC)
-        chunked = ChunkedRecordBlock(records, schema, chunk_rows=2)
+        chunked = RecordBlock(records, schema, chunk_rows=2)
         assert chunked.column("duration").gather("floats", [0, 1, 2]) == [
             record.duration for record in records
         ]
 
     def test_columns_are_cached(self):
-        chunked = ChunkedRecordBlock(
+        chunked = RecordBlock(
             make_jobs(["a", "b"]), schema_of("tag", FeatureKind.NOMINAL),
             chunk_rows=1,
         )
@@ -198,7 +200,7 @@ class TestChunkedRecordBlock:
     def test_key_chunks_cover_all_rows_in_order(self):
         records = make_jobs(["a", "b", None, "a", "c"])
         schema = schema_of("tag", FeatureKind.NOMINAL)
-        chunked = ChunkedRecordBlock(records, schema, chunk_rows=2)
+        chunked = RecordBlock(records, schema, chunk_rows=2)
         starts, total = [], 0
         for start, code_slices, selfeq_slices in chunked.key_chunks(["tag"]):
             starts.append(start)
@@ -209,7 +211,7 @@ class TestChunkedRecordBlock:
 
     def test_rejects_nonpositive_chunk_rows(self):
         with pytest.raises(ValueError):
-            ChunkedRecordBlock(
+            RecordBlock(
                 [], schema_of("tag", FeatureKind.NOMINAL), chunk_rows=0
             )
 
@@ -220,20 +222,19 @@ class TestRecordBlockDispatch:
     def test_small_logs_stay_monolithic_by_default(self):
         log = ExecutionLog(jobs=make_jobs(["a", "b"]))
         block = log.record_block(schema_of("tag", FeatureKind.NOMINAL))
-        assert isinstance(block, RecordBlock)
+        assert block.chunk_rows is None
 
     def test_configured_log_builds_chunked_blocks(self):
         log = ExecutionLog(jobs=make_jobs(["a", "b", "c"]))
         log.configure_blocks(chunk_rows=2, max_resident_chunks=4)
         block = log.record_block(schema_of("tag", FeatureKind.NOMINAL))
-        assert isinstance(block, ChunkedRecordBlock)
         assert block.chunk_rows == 2
 
-    def test_auto_chunk_threshold_triggers_chunking(self):
+    def test_auto_chunk_threshold_triggers_chunking(self, monkeypatch):
+        monkeypatch.setattr("repro.logs.store.AUTO_CHUNK_THRESHOLD", 10)
         log = ExecutionLog(jobs=make_jobs(["a"] * 12))
-        log.configure_blocks(auto_chunk_threshold=10)
         block = log.record_block(schema_of("tag", FeatureKind.NOMINAL))
-        assert isinstance(block, ChunkedRecordBlock)
+        assert block.chunk_rows == DEFAULT_CHUNK_ROWS
 
     def test_reconfiguring_drops_cached_blocks(self):
         log = ExecutionLog(jobs=make_jobs(["a", "b"]))
@@ -242,7 +243,7 @@ class TestRecordBlockDispatch:
         log.configure_blocks(chunk_rows=1)
         second = log.record_block(schema)
         assert second is not first
-        assert isinstance(second, ChunkedRecordBlock)
+        assert second.chunk_rows == 1
 
     def test_configure_blocks_validates_arguments(self):
         log = ExecutionLog()
@@ -258,3 +259,51 @@ class TestRecordBlockDispatch:
         spill_dir = next(tmp_path.glob("repro-chunks-*"))
         names = [path.name for path in spill_dir.iterdir()]
         assert all(f"-{os.getpid()}-" in name for name in names)
+
+
+class TestWorkingSetBound:
+    """``max_resident_chunks`` bounds every block, one chunk per column or
+    many."""
+
+    QUERY = """
+        FOR JOBS ?, ?
+        DESPITE pig_script_isSame = T
+        OBSERVED duration_compare = GT
+        EXPECTED duration_compare = SIM
+    """
+
+    @staticmethod
+    def _log():
+        rng = random.Random(5)
+        jobs = []
+        for index in range(50):
+            instances = rng.choice([2, 4, 8])
+            block_size = rng.choice([64, 128])
+            slowdown = 1.5 if block_size == 64 else 1.0
+            jobs.append(
+                JobRecord(
+                    job_id=f"job_{index:02d}",
+                    features={
+                        "pig_script": rng.choice(["a.pig", "b.pig"]),
+                        "numinstances": instances,
+                        "blocksize": block_size,
+                        "load": rng.choice([0.5, 1.0, 2.0, None]),
+                    },
+                    duration=800.0 / instances * slowdown + rng.random(),
+                )
+            )
+        return ExecutionLog(jobs=jobs)
+
+    def test_unchunked_log_spills_and_answers_identically(self, tmp_path):
+        plain = self._log()
+        bounded = self._log()
+        bounded.configure_blocks(max_resident_chunks=1, spill_directory=tmp_path)
+        answers = [
+            PerfXplainSession(log, seed=0).explain(self.QUERY, width=2).to_json()
+            for log in (plain, bounded)
+        ]
+        assert answers[1] == answers[0]
+        block = bounded.record_block(infer_schema(bounded.jobs), kind="job")
+        assert block.chunk_rows is None
+        assert block.store.max_resident == 1
+        assert block.store.stats()["spills"] > 0

@@ -18,8 +18,8 @@ from hypothesis import given, settings, strategies as st
 from repro.core.features import infer_schema
 from repro.core.pairkernel import blocking_group_indices
 from repro.logs.records import JobRecord, TaskRecord
-from repro.logs.store import BlockColumn, ExecutionLog, RecordBlock
-from repro.logs.chunkstore import ChunkedRecordBlock
+from repro.logs.chunkstore import BlockColumn, RecordBlock
+from repro.logs.store import DEFAULT_CHUNK_ROWS, ExecutionLog
 
 FEATURES = ("pig_script", "numinstances", "ratio", "flag", "mixed")
 BLOCKING = ("pig_script", "numinstances")
@@ -95,30 +95,30 @@ def assert_blocks_equivalent(grown, fresh):
 
 
 def build_block(records, schema, chunk_rows):
-    if chunk_rows is None:
-        return RecordBlock(records, schema)
-    return ChunkedRecordBlock(records, schema, chunk_rows=chunk_rows)
+    return RecordBlock(records, schema, chunk_rows=chunk_rows)
 
 
 class TestDifferentialAppend:
     """Randomized logs x chunk sizes x append batch sizes."""
 
+    @pytest.mark.parametrize("initial", [12, 0])
     @pytest.mark.parametrize("chunk_rows", [None, 4, 7, 16])
     @pytest.mark.parametrize("batch_size", [1, 3, 10])
     def test_extend_matches_fresh_build_at_every_boundary(
-        self, chunk_rows, batch_size
+        self, chunk_rows, batch_size, initial
     ):
         rng = random.Random(hash((chunk_rows, batch_size)) & 0xFFFF)
         records = [make_job(rng, index) for index in range(60)]
         schema = infer_schema(records)
-        grown = build_block(records[:12], schema, chunk_rows)
+        grown = build_block(records[:initial], schema, chunk_rows)
         # Touch every column and the group caches so appends must
-        # maintain them rather than build lazily from scratch.
+        # maintain them rather than build lazily from scratch (from zero
+        # rows, the first append opens each column's chunk 0).
         for name in FEATURES + ("duration",):
             grown.column(name)
         grown.blocking_groups(BLOCKING)
         grown.blocking_groups(("ratio",))
-        position = 12
+        position = initial
         while position < len(records):
             batch = records[position : position + batch_size]
             position += len(batch)
@@ -131,7 +131,7 @@ class TestDifferentialAppend:
         rng = random.Random(7)
         records = [make_job(rng, index) for index in range(40)]
         schema = infer_schema(records)
-        grown = ChunkedRecordBlock(records[:6], schema, chunk_rows=4)
+        grown = RecordBlock(records[:6], schema, chunk_rows=4)
         for name in FEATURES:
             grown.column(name)
         grown.blocking_groups(BLOCKING)
@@ -140,7 +140,7 @@ class TestDifferentialAppend:
         for count in (2, 5, 8, 19):
             start = len(grown)
             grown.extend_from(records[start : start + count])
-            fresh = ChunkedRecordBlock(records[: len(grown)], schema, chunk_rows=4)
+            fresh = RecordBlock(records[: len(grown)], schema, chunk_rows=4)
             assert_blocks_equivalent(grown, fresh)
         assert len(grown) == 40
         assert grown.num_chunks == 10
@@ -273,7 +273,7 @@ class TestLogAppendPath:
         assert log.append_stats()["block_extends"] == 1
         served = log.record_block(schema, kind="job")
         assert served is block
-        assert_blocks_equivalent(served, ChunkedRecordBlock(log.jobs, schema, 4))
+        assert_blocks_equivalent(served, RecordBlock(log.jobs, schema, 4))
 
     def test_configure_blocks_layout_change_drops_blocks(self):
         log = self._log(count=10)
@@ -295,18 +295,18 @@ class TestLogAppendPath:
         assert log.flush_appends() == 1
         assert len(log.record_block(schema, kind="job")) == 9
 
-    def test_crossing_auto_chunk_threshold_rebuilds(self):
+    def test_crossing_auto_chunk_threshold_rebuilds(self, monkeypatch):
         """An append that crosses the chunking threshold changes layout."""
+        monkeypatch.setattr("repro.logs.store.AUTO_CHUNK_THRESHOLD", 10)
         log = self._log(count=6)
-        log.configure_blocks(auto_chunk_threshold=10)
         schema = infer_schema(log.jobs)
         block = log.record_block(schema, kind="job")
-        assert isinstance(block, RecordBlock)
+        assert block.chunk_rows is None
         rng = random.Random(13)
         log.extend(jobs=[make_job(rng, 400 + index) for index in range(6)])
         rebuilt = log.record_block(schema, kind="job")
         assert rebuilt is not block
-        assert isinstance(rebuilt, ChunkedRecordBlock)
+        assert rebuilt.chunk_rows == DEFAULT_CHUNK_ROWS
         assert_blocks_equivalent(
             rebuilt, RecordBlock(log.jobs, schema)
         )

@@ -169,9 +169,36 @@ class TestExecutionLog:
         assert loaded.num_tasks == log.num_tasks
         assert loaded.find_job("job_0") == log.find_job("job_0")
 
-    def test_invalid_json_raises(self):
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "{not json",
+            "[]",
+            '{"jobs": {}}',
+            '{"jobs": [5], "tasks": []}',
+            '{"jobs": [{"kind": "job"}]}',
+            '{"jobs": [{"kind": "meta"}]}',
+            '{"tasks": [{"kind": "job", "job_id": "j", "features": {}, '
+            '"duration": 1}]}',
+        ],
+    )
+    def test_invalid_json_raises(self, text):
         with pytest.raises(LogFormatError):
-            ExecutionLog.from_json("{not json")
+            ExecutionLog.from_json(text)
+
+    def test_duplicate_id_raises_like_jsonl(self, tmp_path):
+        import json
+
+        job = record_to_dict(make_job("job_dup"))
+        text = json.dumps({"jobs": [job, job], "tasks": []})
+        with pytest.raises(DuplicateRecordError) as excinfo:
+            ExecutionLog.from_json(text)
+        assert excinfo.value.record_id == "job_dup"
+        path = tmp_path / "dupes.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(DuplicateRecordError) as excinfo:
+            ExecutionLog.load(path)
+        assert str(path) in str(excinfo.value)
 
     def test_job_feature_values(self):
         log = self._log()
@@ -282,15 +309,17 @@ class TestRecordBlock:
         schema.add("duration", FeatureKind.NUMERIC)
         block = log.record_block(schema, kind="job")
         column = block.column("f")
+        rows = range(len(values))
         assert column.raw == values
         # Missing -> code -1; equal values share a code.
-        assert column.codes[0] == column.codes[2]
-        assert column.codes[1] == -1
-        assert bytes(column.selfeq) == bytes([1, 0, 1, 1, 1, 1])
+        codes = column.gather("codes", rows)
+        assert codes[0] == codes[2]
+        assert codes[1] == -1
+        assert bytes(column.gather("selfeq", rows)) == bytes([1, 0, 1, 1, 1, 1])
         # Only genuinely numeric values are float-eligible (bool is not).
-        assert bytes(column.num_ok) == bytes([1, 0, 1, 1, 0, 0])
+        assert bytes(column.gather("num_ok", rows)) == bytes([1, 0, 1, 1, 0, 0])
         assert not column.all_numeric
-        assert column.floats[0] == 3.5
+        assert column.gather("floats", rows)[0] == 3.5
         # duration reads the performance metric off the record.
         duration = block.column("duration")
         assert duration.raw == [float(i) for i in range(6)]
@@ -549,7 +578,7 @@ class TestCanonicalNanCode:
     objects used to get distinct codes."""
 
     def test_distinct_nan_objects_share_one_code(self):
-        from repro.logs.store import BlockColumn
+        from repro.logs.chunkstore import BlockColumn
 
         column = BlockColumn.from_values(
             "mem", [float("nan"), 1.0, float("nan"), None], numeric=True
@@ -561,7 +590,7 @@ class TestCanonicalNanCode:
         assert list(column.selfeq) == [0, 1, 0, 0]
 
     def test_nan_code_is_canonical_in_nominal_columns_too(self):
-        from repro.logs.store import BlockColumn
+        from repro.logs.chunkstore import BlockColumn
 
         nan = float("nan")
         column = BlockColumn.from_values(
@@ -571,7 +600,7 @@ class TestCanonicalNanCode:
         assert column.codes[0] == column.codes[3] != column.codes[1]
 
     def test_non_nan_codes_still_follow_dict_equality(self):
-        from repro.logs.store import BlockColumn
+        from repro.logs.chunkstore import BlockColumn
 
         column = BlockColumn.from_values("size", [1, 1.0, True, 2], numeric=True)
         # 1 == 1.0 under dict equality; True == 1 as well.

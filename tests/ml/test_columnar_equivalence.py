@@ -2,7 +2,7 @@
 
 The columnar training pipeline (:mod:`repro.ml.matrix`) must be a pure
 re-layout of the row-oriented algorithm preserved in
-:mod:`repro.ml.rowpath`: on any dataset, split search returns **identical**
+:mod:`tests.oracles.rowpath`: on any dataset, split search returns **identical**
 best predicates (feature, operator, constant and bit-identical gain) and
 tree fitting produces **identical** structures and ``predict_proba``
 outputs.  This file checks that on ~50 randomized datasets mixing numeric
@@ -17,8 +17,9 @@ import random
 import pytest
 
 from repro.ml.decision_tree import DecisionTree, DecisionTreeNode
-from repro.ml.rowpath import RowPathDecisionTree, rowpath_best_predicate_for_feature
 from repro.ml.splits import best_predicate_for_feature
+
+from tests.oracles.rowpath import RowPathDecisionTree, rowpath_best_predicate_for_feature
 
 #: Randomized dataset seeds exercised by every differential test.
 DATASET_SEEDS = list(range(50))

@@ -2,8 +2,8 @@
 
 This module preserves the original :class:`SimulationEngine` loop exactly as
 it shipped before the event-core overhaul in :mod:`repro.cluster.engine`,
-mirroring the role :mod:`repro.ml.rowpath` and :mod:`repro.core.pairref`
-play for the columnar training and pair pipelines.  The loop recomputes
+mirroring the role ``rowpath.py`` and ``pairref.py`` beside it play for
+the columnar training and pair pipelines.  The loop recomputes
 every running attempt's rate at every event — O(running tasks^2) per event —
 by calling :meth:`ReferenceSimulationEngine._task_speed` once per attempt,
 each call scanning the full running list for co-located attempts.

@@ -1,7 +1,7 @@
 """Reference pair-generation path: one feature dict per candidate pair.
 
 This module preserves the pre-columnar Section-4 pipeline exactly as it ran
-before the pair kernels existed (mirroring how :mod:`repro.ml.rowpath`
+before the pair kernels existed (mirroring how ``rowpath.py`` beside it
 freezes the pre-columnar tree fitting): candidate pairs are enumerated
 within blocking groups, each candidate gets a lazily-restricted pair-feature
 *dict* via :func:`repro.core.pairs.compute_pair_features`, and the query's
@@ -29,13 +29,12 @@ from __future__ import annotations
 
 import random
 from operator import itemgetter
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from repro.core.examples import (
     Label,
     TrainingExample,
     _blocking_features,
-    _group_records,
     validate_query_features,
     records_for_query,
 )
@@ -45,6 +44,23 @@ from repro.core.pairs import PairFeatureConfig, compute_pair_features
 from repro.core.pxql.query import PXQLQuery
 from repro.logs.records import ExecutionRecord
 from repro.logs.store import ExecutionLog
+
+
+def group_records_reference(
+    records: Sequence[ExecutionRecord], blocking: Sequence[str]
+) -> list[list[ExecutionRecord]]:
+    """Reference record grouping (value-keyed; kept for the dict path)."""
+    if not blocking:
+        return [list(records)]
+    groups: dict[tuple, list[ExecutionRecord]] = {}
+    for record in records:
+        key = tuple(record.features.get(feature) for feature in blocking)
+        if any(value is None or value != value for value in key):
+            # A missing or NaN blocked value can never satisfy
+            # ``isSame = T`` (NaN equals nothing, itself included).
+            continue
+        groups.setdefault(key, []).append(record)
+    return list(groups.values())
 
 
 def iter_related_pairs_reference(
@@ -66,7 +82,7 @@ def iter_related_pairs_reference(
     query_raw_features = validate_query_features(query, schema)
 
     blocking = _blocking_features(query, schema)
-    groups = _group_records(records, blocking)
+    groups = group_records_reference(records, blocking)
 
     total_candidates = sum(len(group) * (len(group) - 1) for group in groups)
     salt: int | None = None

@@ -6,6 +6,10 @@ from repro.core.api import PerfXplainSession
 from repro.exceptions import CatalogError
 from repro.service import ErrorCode, LogCatalog
 
+DUPLICATE_JOB = (
+    '{"kind": "job", "job_id": "job_dup", "features": {}, "duration": 1.0}'
+)
+
 WHY_SLOWER_LOOSE = """
     FOR JOBS ?, ?
     DESPITE pig_script_isSame = T
@@ -69,9 +73,18 @@ class TestLazyLoading:
             catalog.log("late")
         assert excinfo.value.code == ErrorCode.LOG_LOAD_FAILED
 
-    def test_malformed_file_reports_load_failure(self, tmp_path):
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "{not json",
+            '{"jobs": [5], "tasks": []}',
+            '{"jobs": [{"kind": "job"}]}',
+            '{"jobs": [' + ", ".join([DUPLICATE_JOB] * 2) + '], "tasks": []}',
+        ],
+    )
+    def test_malformed_file_reports_load_failure(self, tmp_path, text):
         path = tmp_path / "broken.json"
-        path.write_text("{not json", encoding="utf-8")
+        path.write_text(text, encoding="utf-8")
         catalog = LogCatalog()
         catalog.register_path("broken", path)
         with pytest.raises(CatalogError) as excinfo:

@@ -7,8 +7,7 @@ gets its own proof here:
   are bit-identical to a fresh-session sequential oracle.
 * **Overlap** — two queries genuinely hold the read side together
   (a barrier inside two instrumented techniques passes only if both are
-  in their critical sections simultaneously), and the ``serialize_reads``
-  compatibility mode demonstrably prevents exactly that.
+  in their critical sections simultaneously).
 * **Linearisability under appends** — while a log grows, every racing
   read observes either the complete pre-append state or the complete
   post-append state, never a torn mixture, and reads issued after the
@@ -28,7 +27,6 @@ from repro.logs.store import ExecutionLog
 from repro.service import (
     AppendRequest,
     AppendResponse,
-    ErrorResponse,
     LogCatalog,
     PerfXplainService,
     QueryRequest,
@@ -212,19 +210,6 @@ class TestReadOverlap:
             responses = _race_barrier_queries(service)
         for response in responses:
             assert isinstance(response, QueryResponse), response
-
-    def test_serialize_reads_restores_mutual_exclusion(
-        self, catalog, barrier_techniques
-    ):
-        # The compatibility flag reverts reads to the exclusive side: the
-        # two explains can never be inside together, so the shared barrier
-        # must time out — proof the baseline really serialises.
-        _BarrierExplainer.barrier = threading.Barrier(2, timeout=1.0)
-        with PerfXplainService(
-            catalog, max_workers=4, serialize_reads=True
-        ) as service:
-            responses = _race_barrier_queries(service)
-        assert any(isinstance(r, ErrorResponse) for r in responses)
 
 
 class TestAppendLinearisability:

@@ -115,7 +115,6 @@ class TestServiceMetrics:
         assert metrics["executed"] >= 1
         assert metrics["deduplicated"] >= 0
         assert metrics["max_workers"] == service.max_workers
-        assert metrics["serialize_reads"] is False
 
         pool = metrics["shard_pool"]
         assert {"forks", "reuses", "max_concurrent_generations"} <= set(pool)

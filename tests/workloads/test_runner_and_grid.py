@@ -18,6 +18,8 @@ from repro.workloads.grid import (
 from repro.workloads.pig import SIMPLE_FILTER
 from repro.workloads.runner import run_workload
 
+from tests.oracles.engineref import ReferenceSimulationEngine
+
 
 class TestRunWorkload:
     def test_produces_job_and_task_records(self, single_run):
@@ -182,16 +184,14 @@ class TestBuildExperimentLog:
 
 
 class TestEngineSelectionAndProvenance:
-    def test_reference_engine_builds_identical_log(self):
-        event = build_experiment_log(tiny_grid(), seed=3, engine="event")
-        reference = build_experiment_log(tiny_grid(), seed=3, engine="reference")
+    def test_reference_engine_builds_identical_log(self, monkeypatch):
+        event = build_experiment_log(tiny_grid(), seed=3)
+        monkeypatch.setattr(
+            "repro.workloads.runner.SimulationEngine", ReferenceSimulationEngine
+        )
+        reference = build_experiment_log(tiny_grid(), seed=3)
         assert event.jobs == reference.jobs
         assert event.tasks == reference.tasks
-
-    def test_unknown_engine_rejected(self):
-        config = MapReduceConfig(dfs_block_size=64 * MB, num_reduce_tasks=2)
-        with pytest.raises(WorkloadError):
-            run_workload(SIMPLE_FILTER, excite_dataset(3), config, 2, engine="warp")
 
     def test_engine_seed_stamped_on_all_records(self, tiny_log):
         assert all("engine_seed" in job.features for job in tiny_log.jobs)
