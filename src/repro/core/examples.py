@@ -55,7 +55,7 @@ from repro.core.pairs import (
     pair_feature_catalog,
     raw_feature_of,
 )
-from repro.core.pxql.ast import Operator, Predicate
+from repro.core.pxql.ast import Comparison, Operator, Predicate
 from repro.core.pxql.query import EntityKind, PXQLQuery
 from repro.exceptions import ExplanationError
 from repro.logs.records import ExecutionRecord, FeatureValue
@@ -108,22 +108,29 @@ def find_record(log: ExecutionLog, query: PXQLQuery, record_id: str) -> Executio
     return record
 
 
+def _blocked_raw(atom: Comparison, schema: FeatureSchema) -> str | None:
+    """The raw feature a despite atom lets candidates block on, if any."""
+    if atom.operator is not Operator.EQ or atom.value != SAME:
+        return None
+    if not atom.feature.endswith(IS_SAME_SUFFIX):
+        return None
+    raw = raw_feature_of(atom.feature)
+    if raw not in schema:
+        return None
+    if schema.is_numeric(raw):
+        # Tolerance-based isSame for floats: grouping by exact value
+        # could split genuinely "same" pairs, so only block on integers.
+        return None
+    return raw
+
+
 def _blocking_features(query: PXQLQuery, schema: FeatureSchema) -> list[str]:
     """Raw features whose exact equality is implied by the despite clause."""
     blocking: list[str] = []
     for atom in query.despite.atoms:
-        if atom.operator is not Operator.EQ or atom.value != SAME:
-            continue
-        if not atom.feature.endswith(IS_SAME_SUFFIX):
-            continue
-        raw = raw_feature_of(atom.feature)
-        if raw not in schema:
-            continue
-        if schema.is_numeric(raw):
-            # Tolerance-based isSame for floats: grouping by exact value
-            # could split genuinely "same" pairs, so only block on integers.
-            continue
-        blocking.append(raw)
+        raw = _blocked_raw(atom, schema)
+        if raw is not None:
+            blocking.append(raw)
     return blocking
 
 
@@ -161,8 +168,10 @@ def related_index_batches(
     """Related pairs as labeled index batches, in candidate order.
 
     Each batch holds the surviving ``(first, second)`` record indices and
-    their labels.  Candidates are enumerated lazily within blocking groups;
-    per batch, the despite clause prunes first, then the observed and
+    their labels.  Candidates are enumerated lazily within blocking groups,
+    so every candidate already satisfies the despite atoms the groups block
+    on; those atoms are dropped from the clause the batches evaluate.  Per
+    batch, the rest of the despite clause prunes first, then the observed and
     expected clauses run over the survivors (sharing one gather cache) and
     the labels fall out of the two masks at C level: a pair is related when
     either holds, and OBSERVED wins — identical to the reference's
@@ -200,9 +209,12 @@ def related_index_batches(
             if raw in schema:
                 block.column(raw)
 
+    unblocked = Predicate.conjunction(
+        atom for atom in query.despite.atoms if _blocked_raw(atom, schema) is None
+    )
     label_by_observed = (Label.EXPECTED, Label.OBSERVED)
     for firsts, seconds, observed in iter_evaluated_batches(
-        kernel, query, groups, salt, limit, workers=workers
+        kernel, query.with_despite(unblocked), groups, salt, limit, workers=workers
     ):
         labels = list(map(label_by_observed.__getitem__, observed))
         yield firsts, seconds, labels

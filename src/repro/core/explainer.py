@@ -278,16 +278,15 @@ class PerfXplainExplainer:
         used: set[str] = set(exclude_features or ())
         clause = TRUE_PREDICATE
         remaining = list(indices)
-        view = matrix.view(remaining)
+        view = matrix.view(None if len(remaining) == matrix.n_rows else remaining)
 
         for _ in range(width):
             if len(remaining) < self.config.min_examples:
                 break
-            positives = sum(positive[index] for index in remaining)
+            positives = view.positive_bits(positive).bit_count()
             if positives == 0 or positives == len(remaining):
                 break
-            candidates = self._best_predicates(view, positive, pair_values, used,
-                                               positives)
+            candidates = self._best_predicates(view, positive, pair_values, used)
             if not candidates:
                 break
             best = self._select_candidate(candidates, encoded, remaining, positive)
@@ -301,17 +300,21 @@ class PerfXplainExplainer:
             clause = clause.extended(atom)
             used.add(best.feature)
             # The atom's column holds exactly the values the examples carry
-            # for that feature, so scalar evaluation over the gathered
-            # column replaces the per-example dict probing.
-            raw = matrix.column(best.feature).raw
-            satisfied = map(atom.evaluate_value, map(raw.__getitem__, remaining))
+            # for that feature.  Where the search's counts were exact, the
+            # vector path selects exactly the rows the atom accepts;
+            # otherwise the atom is evaluated value by value.
+            column = matrix.column(best.feature)
+            satisfied = (
+                self._satisfied_flags(best, column, remaining)
+                if best.counts is not None
+                else None
+            )
+            if satisfied is None:
+                satisfied = map(atom.evaluate_value, map(column.raw.__getitem__, remaining))
+            remaining = list(compress(remaining, satisfied))
             keep = bytearray(matrix.n_rows)
-            survivors = []
-            for index, keep_row in zip(remaining, satisfied):
-                if keep_row:
-                    keep[index] = 1
-                    survivors.append(index)
-            remaining = survivors
+            for index in remaining:
+                keep[index] = 1
             view = view.narrow(keep)
         return clause
 
@@ -321,7 +324,6 @@ class PerfXplainExplainer:
         positive: bytearray,
         pair_values: dict[str, FeatureValue],
         used: set[str],
-        positives: int | None = None,
     ) -> list[CandidatePredicate]:
         candidates: list[CandidatePredicate] = []
         for feature in view.matrix.features:
@@ -330,9 +332,7 @@ class PerfXplainExplainer:
             required = pair_values.get(feature)
             if required is None:
                 continue
-            candidate = view.best_predicate(feature, positive,
-                                            required_value=required,
-                                            positives=positives)
+            candidate = view.best_predicate(feature, positive, required_value=required)
             if candidate is not None:
                 candidates.append(candidate)
         return candidates
@@ -346,26 +346,36 @@ class PerfXplainExplainer:
     ) -> CandidatePredicate | None:
         """Score candidates by percentile-ranked precision and generality.
 
-        Per-candidate match counting runs over the columnar encoding:
-        equality candidates compare value codes (assigned under dict
-        equality — the same relation ``satisfied_by`` uses) and threshold
-        candidates sweep the float image of clean numeric columns; only
-        mixed-type columns fall back to scalar ``satisfied_by`` probing.
+        A candidate's precision and generality come from the rows of
+        ``remaining`` that satisfy it.  Where the search already counted
+        exactly those rows it hands them over as
+        :attr:`~repro.ml.splits.CandidatePredicate.counts` — every ``==``
+        candidate, and a ``<=``/``>`` threshold on a clean column whose
+        midpoint lies strictly between the runs it separates (``>`` also
+        needs every remaining row to be threshold-eligible) — and they are
+        used as they are.  Every other candidate is recounted over the
+        columnar encoding (:meth:`_satisfied_flags`), and mixed-type
+        columns fall back to scalar ``satisfied_by`` probing.
         """
         precisions: list[float] = []
         generalities: list[float] = []
-        positive_flags = list(map(positive.__getitem__, remaining))
+        positive_flags: list[int] | None = None
         for candidate in candidates:
-            column = encoded.matrix.column(candidate.feature)
-            satisfied = self._satisfied_flags(candidate, column, remaining)
-            if satisfied is None:
-                raw = column.raw
-                satisfied = [
-                    1 if candidate.satisfied_by(raw[index]) else 0
-                    for index in remaining
-                ]
-            matching = sum(satisfied)
-            matching_positive = sum(map(and_, satisfied, positive_flags))
+            if candidate.counts is not None:
+                matching, matching_positive = candidate.counts
+            else:
+                if positive_flags is None:
+                    positive_flags = list(map(positive.__getitem__, remaining))
+                column = encoded.matrix.column(candidate.feature)
+                satisfied = self._satisfied_flags(candidate, column, remaining)
+                if satisfied is None:
+                    raw = column.raw
+                    satisfied = [
+                        1 if candidate.satisfied_by(raw[index]) else 0
+                        for index in remaining
+                    ]
+                matching = sum(satisfied)
+                matching_positive = sum(map(and_, satisfied, positive_flags))
             precisions.append(matching_positive / matching if matching else 0.0)
             generalities.append(matching / len(remaining) if remaining else 0.0)
 

@@ -26,15 +26,26 @@ submitted through a bounded window so a million-task candidate space never
 materialises more than ``window`` batches at once.  Platforms without the
 ``fork`` start method (Windows) fall back to the serial path — same
 results, one process.
+
+A worker that dies mid-generation (the OOM killer, a stray SIGKILL) is
+noticed rather than waited on forever: ``multiprocessing.Pool`` silently
+replaces a dead worker, and the batch it held never completes.  A
+generation waits for each result in bounded steps and checks the
+sentinels of the workers its pool forked; on a loss the pool is retired
+and every batch still pending is evaluated in-process, in submission
+order — the same bytes, since any worker count yields the same stream.
+The next generation forks a fresh pool.
 """
 
 from __future__ import annotations
 
 import atexit
 import multiprocessing
+import multiprocessing.pool
 import threading
 from collections import OrderedDict, deque
 from itertools import compress
+from multiprocessing.connection import wait
 from operator import or_
 from typing import Iterator, Sequence
 
@@ -49,6 +60,10 @@ from repro.core.pxql.query import PXQLQuery
 #: Batches in flight per worker: enough to keep the pool busy, small
 #: enough to bound the memory of undelivered results.
 _WINDOW_PER_WORKER = 4
+
+#: Seconds a generation waits for one result before it checks that every
+#: worker of its pool is still alive.
+LIVENESS_POLL_S = 0.1
 
 #: Kernels (hence record blocks) a pool keeps strongly referenced for
 #: reuse.  Beyond this, the least recently sharded kernels are dropped
@@ -150,7 +165,15 @@ class _PoolHandle:
     ``id(block)`` inside the token cannot be recycled into a collision.
     """
 
-    __slots__ = ("pool", "kernels", "workers", "active", "retired")
+    __slots__ = (
+        "pool",
+        "kernels",
+        "workers",
+        "active",
+        "retired",
+        "lost",
+        "processes",
+    )
 
     def __init__(
         self,
@@ -166,6 +189,44 @@ class _PoolHandle:
         #: A retired pool accepts no new generations and is terminated
         #: when the last active one drains.
         self.retired = False
+        #: A worker died: no generation waits on this pool any more.
+        self.lost = False
+        #: The workers forked with the pool (kept referenced, so their
+        #: sentinels stay open after the pool reaps and replaces them).
+        self.processes = list(pool._pool)
+
+    def worker_died(self) -> bool:
+        """Whether any worker forked with the pool has exited."""
+        return bool(wait([process.sentinel for process in self.processes], timeout=0))
+
+    def terminate(self) -> None:
+        """Tear the pool down; never blocks on a lost worker's locks.
+
+        ``Pool.terminate`` takes the task queue's read lock, which an idle
+        worker holds while it waits for a task, and the result queue's
+        write lock, which a worker holds while it sends a result — a
+        worker killed holding either never releases it.  For a pool that
+        lost a worker (noticed or not: shutdown can find one that died
+        idle), replacement forks are stopped and every worker is killed
+        first, then both locks are freed.
+        """
+        pool = self.pool
+        if self.lost or self.worker_died():
+            handler = pool._worker_handler
+            handler._state = multiprocessing.pool.TERMINATE
+            pool._change_notifier.put(None)
+            handler.join()
+            for process in pool._pool:
+                process.kill()
+                process.join()
+            for lock in (pool._inqueue._rlock, pool._outqueue._wlock):
+                # The pool's own threads hold these only for a send; one
+                # still held after the timeout belongs to a dead worker.
+                if lock is not None:
+                    lock.acquire(timeout=LIVENESS_POLL_S)
+                    lock.release()
+        pool.terminate()
+        pool.join()
 
 
 class ShardPool:
@@ -181,7 +242,8 @@ class ShardPool:
     missing their state.
 
     Accounting (:meth:`stats`): ``forks`` counts pool spin-ups, ``reuses``
-    counts generations served by an already-live pool, and
+    counts generations served by an already-live pool, ``lost_pools``
+    counts pools retired because a worker died, and
     ``max_concurrent_generations`` proves genuine overlap — the old
     module-global design serialised every sharded generation process-wide.
     """
@@ -195,6 +257,7 @@ class ShardPool:
         self._kernels: OrderedDict[tuple, PairKernel] = OrderedDict()
         self._forks = 0
         self._reuses = 0
+        self._losses = 0
         self._active_generations = 0
         self._max_concurrent_generations = 0
 
@@ -225,23 +288,59 @@ class ShardPool:
         handle = self._acquire(context, token, kernel, workers)
         if window is None:
             window = workers * _WINDOW_PER_WORKER
+        # Each pending entry keeps its index arrays, so a batch lost with
+        # its worker can be evaluated again here.
         pending: deque = deque()
         try:
             apply_async = handle.pool.apply_async
             for firsts, seconds in batches:
-                pending.append(
-                    apply_async(_pool_worker, ((token, query, firsts, seconds),))
-                )
-                if len(pending) >= window:
-                    out_firsts, out_seconds, observed = pending.popleft().get()
-                    if out_firsts:
-                        yield out_firsts, out_seconds, bytearray(observed)
+                result = None
+                if not handle.lost:
+                    payload = (token, query, firsts, seconds)
+                    result = apply_async(_pool_worker, (payload,))
+                pending.append((result, firsts, seconds))
+                while len(pending) >= window or (handle.lost and pending):
+                    out = self._take(handle, pending.popleft(), kernel, query)
+                    if out[0]:
+                        yield out
             while pending:
-                out_firsts, out_seconds, observed = pending.popleft().get()
-                if out_firsts:
-                    yield out_firsts, out_seconds, bytearray(observed)
+                out = self._take(handle, pending.popleft(), kernel, query)
+                if out[0]:
+                    yield out
         finally:
             self._release(handle)
+
+    def _take(
+        self,
+        handle: _PoolHandle,
+        entry: tuple,
+        kernel: PairKernel,
+        query: PXQLQuery,
+    ) -> tuple[list[int], list[int], bytearray]:
+        """One pending batch's result: the worker's, or evaluated in-process
+        once the pool has lost a worker."""
+        result, firsts, seconds = entry
+        while result is not None and not handle.lost:
+            result.wait(LIVENESS_POLL_S)
+            if result.ready():
+                out_firsts, out_seconds, observed = result.get()
+                return out_firsts, out_seconds, bytearray(observed)
+            if handle.worker_died():
+                self._lose(handle)
+        return evaluate_candidate_batch(kernel, query, firsts, seconds)
+
+    def _lose(self, handle: _PoolHandle) -> None:
+        """Retire a pool that lost a worker; its last generation tears it down."""
+        with self._lock:
+            if handle.lost:
+                return
+            handle.lost = True
+            self._losses += 1
+            if self._handle is handle:
+                self._handle = None
+            if not handle.retired:
+                handle.retired = True
+                self._retired.append(handle)
 
     def _acquire(
         self,
@@ -254,8 +353,13 @@ class ShardPool:
         terminate: _PoolHandle | None = None
         with self._lock:
             handle = self._handle
+            if handle is not None and not handle.retired and handle.worker_died():
+                # Lost while idle: re-fork rather than wait on it.
+                handle.lost = True
+                self._losses += 1
             if (
                 handle is not None
+                and not handle.lost
                 and not handle.retired
                 and token in handle.kernels
                 and handle.workers >= workers
@@ -270,8 +374,7 @@ class ShardPool:
             if self._active_generations > self._max_concurrent_generations:
                 self._max_concurrent_generations = self._active_generations
         if terminate is not None:
-            terminate.pool.terminate()
-            terminate.pool.join()
+            terminate.terminate()
         return handle
 
     def _refork(
@@ -325,8 +428,7 @@ class ShardPool:
                     self._retired.remove(handle)
                 finished = handle
         if finished is not None:
-            finished.pool.terminate()
-            finished.pool.join()
+            finished.terminate()
 
     # ------------------------------------------------------------------ #
     # lifecycle and accounting
@@ -355,8 +457,7 @@ class ShardPool:
                 else:
                     self._retired.append(handle)
         for handle in finished:
-            handle.pool.terminate()
-            handle.pool.join()
+            handle.terminate()
 
     def stats(self) -> dict[str, int]:
         """Running counters (see class docs) plus the live pool's shape."""
@@ -365,6 +466,7 @@ class ShardPool:
             return {
                 "forks": self._forks,
                 "reuses": self._reuses,
+                "lost_pools": self._losses,
                 "active_generations": self._active_generations,
                 "max_concurrent_generations": self._max_concurrent_generations,
                 "workers": self._handle.workers if live else 0,

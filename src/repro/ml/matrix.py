@@ -8,15 +8,30 @@ clause growth, RReliefF) operate on **index subsets** of that encoding:
 
 * :class:`FeatureColumn` — one feature's values encoded as integer codes
   (for equality counting), a ``float`` array plus validity mask (for
-  threshold sweeps) and **one global stable sort of the numeric order**;
+  threshold sweeps), **one global stable sort of the numeric order**, and
+  row bitsets: one per value code it has been asked about and one per run
+  of equal numeric values;
 * :class:`FeatureMatrix` — the per-feature columns of a dataset plus row
   count;
 * :class:`MatrixView` — an index subset of a matrix.  Narrowing a view
   filters each cached numeric order *stably*, so the global sort is reused
-  at every node instead of re-sorting;
+  at every node instead of re-sorting; a view also holds its rows, and its
+  positive rows, as bitsets;
 * :func:`search_column` — the best-predicate search over one column and one
   index subset: equality candidates from code counts, threshold candidates
   from a prefix-count sweep over the presorted order.
+
+The two kinds of search count differently.  A **constrained** search (the
+explainer's Algorithm 1: only predicates the pair of interest satisfies)
+needs one equality candidate, so it counts that code's rows as
+``int.bit_count()`` of the view's bitsets ANDed with the code's bitset, and
+sweeps thresholds run by run in ascending value order: each run's rows are
+counted the same way, except on columns with more than
+:data:`MAX_RUN_BITSETS` runs, which sweep the view's presorted order with
+C-level passes.  An **unconstrained** search (decision-tree splits)
+considers every value, so it keeps the per-code counting loop, and the
+fused single pass for clean numeric columns.  Bitsets are plain Python
+ints: bit ``i`` stands for row ``i``.
 
 Missing values (``None``) carry code ``-1`` and are excluded from the
 numeric order; at evaluation time they never *satisfy* any predicate,
@@ -37,9 +52,9 @@ from __future__ import annotations
 
 import math
 from array import array
-from itertools import accumulate, compress, islice
+from itertools import accumulate, chain, compress, islice
 from operator import ne
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.ml.splits import (
     CandidatePredicate,
@@ -52,13 +67,40 @@ from repro.ml.splits import (
 #: Shared empty order for nominal columns.
 _EMPTY_ORDER: array = array("l")
 
+#: Per-row flag byte -> binary digit, by truthiness (any nonzero byte is a
+#: set bit).
+_FLAG_DIGITS = b"0" + b"1" * 255
+#: Per-row flag byte -> ``0``/``1``, by truthiness.
+_TRUTH_FLAGS = b"\x00" + b"\x01" * 255
+
+
+def flags_to_bits(flags: bytes | bytearray) -> int:
+    """The bitset of a per-row flag vector: bit ``i`` is set where
+    ``flags[i]`` is truthy."""
+    if not flags:
+        return 0
+    return int(flags.translate(_FLAG_DIGITS)[::-1], 2)
+
+
+#: Most runs of equal values a numeric column keeps as bitsets (their
+#: size is ``runs * rows / 8`` bytes, about the column's own at this bound).
+MAX_RUN_BITSETS = 256
+
+
+def index_bits(indices: Iterable[int], n_rows: int) -> int:
+    """The bitset of a set of row indices."""
+    flags = bytearray(n_rows)
+    for index in indices:
+        flags[index] = 1
+    return flags_to_bits(flags)
+
 
 class FeatureColumn:
     """One feature's values, encoded once for repeated subset searches."""
 
     __slots__ = ("name", "numeric", "raw", "floats", "numeric_ok", "order",
                  "clean", "_codes", "_code_of", "_eq_values", "_eq_rank",
-                 "_canonical_codes")
+                 "_canonical_codes", "_code_bits", "_runs")
 
     def __init__(self, name: str, numeric: bool) -> None:
         self.name = name
@@ -80,6 +122,8 @@ class FeatureColumn:
         self._eq_values: list[Any] | None = None
         self._eq_rank: list[int] | None = None
         self._canonical_codes: list[int] | None = None
+        self._code_bits: dict[int, int] = {}
+        self._runs: tuple[list[float], list[int]] | bool | None = None
 
     @classmethod
     def from_values(cls, name: str, values: Sequence[Any], numeric: bool) -> "FeatureColumn":
@@ -120,23 +164,19 @@ class FeatureColumn:
         return column
 
     def _encode_values(self) -> None:
-        codes: array = array("l")
-        code_of: dict[Any, int] = {}
-        eq_values: list[Any] = []
-        append = codes.append
-        for value in self.raw:
-            if value is None:
-                append(-1)
-                continue
-            code = code_of.get(value, -1)
-            if code < 0:
-                code = len(eq_values)
-                code_of[value] = code
-                eq_values.append(value)
-            append(code)
-        self._codes = codes
-        self._code_of = code_of
+        # Codes number the distinct values in first-seen order, each keyed
+        # by its first-seen representative: ``dict.fromkeys`` keeps the
+        # first key object of every dict-equality class (so ``1``/``1.0``/
+        # ``True`` share one code, and a NaN object only matches itself).
+        first_seen = dict.fromkeys(self.raw)
+        first_seen.pop(None, None)
+        eq_values = list(first_seen)
+        code_of = dict(zip(eq_values, range(len(eq_values))))
+        lookup = dict(code_of)
+        lookup[None] = -1
         self._eq_values = eq_values
+        self._code_of = code_of
+        self._codes = array("l", map(lookup.__getitem__, self.raw))
 
     @property
     def codes(self) -> array:
@@ -184,6 +224,44 @@ class FeatureColumn:
                 ordered[position] = code
             self._canonical_codes = ordered
         return self._canonical_codes
+
+    def code_bits(self, code: int) -> int:
+        """The bitset of the rows carrying one value code (built on first use).
+
+        Racing readers may both build a missing entry; they build the same
+        int, so either assignment is correct.
+        """
+        bits = self._code_bits.get(code)
+        if bits is None:
+            bits = flags_to_bits(bytes(map(code.__eq__, self.codes)))
+            self._code_bits[code] = bits
+        return bits
+
+    def run_bits(self) -> tuple[list[float], list[int]] | None:
+        """The presorted order's runs of equal values, as bitsets.
+
+        ``(values, bits)``: one float per run in ascending order and the
+        bitset of the rows holding it.  A column with more than
+        :data:`MAX_RUN_BITSETS` runs has none (``None``): its bitsets
+        would outweigh the column, so searches sweep its presorted order
+        instead.  Built on first use; racing readers build equal lists.
+        """
+        if self._runs is None:
+            order = self.order
+            values = list(map(self.floats.__getitem__, order))
+            starts = list(compress(range(1, len(values)),
+                                   map(ne, values, islice(values, 1, None))))
+            if len(starts) >= MAX_RUN_BITSETS:
+                self._runs = False
+            else:
+                n_rows = len(self.raw)
+                bounds = [0, *starts, len(values)] if values else [0]
+                self._runs = (
+                    [values[start] for start in bounds[:-1]],
+                    [index_bits(order[start:end], n_rows)
+                     for start, end in zip(bounds, bounds[1:])],
+                )
+        return self._runs or None
 
     def __len__(self) -> int:
         return len(self.raw)
@@ -273,10 +351,14 @@ class MatrixView:
 
     Views cache, per numeric feature, the subset's row order — produced by
     stably filtering either the parent view's order (when narrowing) or the
-    column's global order.  No per-node sorting ever happens.
+    column's global order.  No per-node sorting ever happens.  For
+    constrained searches a view also holds its rows as a bitset and, for
+    the label vector it was last searched with, its positive rows; a
+    narrowed view ANDs both down instead of rebuilding them.
     """
 
-    __slots__ = ("matrix", "indices", "_orders", "_member", "_full")
+    __slots__ = ("matrix", "indices", "_orders", "_member", "_full", "_bits",
+                 "_labels", "_positive")
 
     def __init__(
         self,
@@ -290,6 +372,10 @@ class MatrixView:
         self._orders: dict[str, array] = orders if orders is not None else {}
         self._member: bytearray | None = None
         self._full = full
+        self._bits: int | None = None
+        #: ``(labels, bitset of labels)`` for the labels last searched with.
+        self._labels: tuple[bytearray, int] | None = None
+        self._positive: int | None = None
 
     def __len__(self) -> int:
         return len(self.indices)
@@ -301,6 +387,22 @@ class MatrixView:
                 member[index] = 1
             self._member = member
         return self._member
+
+    def member_bits(self) -> int:
+        """The view's rows as a bitset."""
+        if self._bits is None:
+            n_rows = self.matrix.n_rows
+            self._bits = (1 << n_rows) - 1 if self._full else flags_to_bits(self._membership())
+        return self._bits
+
+    def positive_bits(self, labels: bytearray) -> int:
+        """The view's rows whose label is truthy, as a bitset."""
+        if self._labels is None or self._labels[0] is not labels:
+            self._labels = (labels, flags_to_bits(labels))
+            self._positive = None
+        if self._positive is None:
+            self._positive = self.member_bits() & self._labels[1]
+        return self._positive
 
     def order_for(self, feature: str) -> array:
         """The subset's rows in ascending numeric order (stable)."""
@@ -327,14 +429,23 @@ class MatrixView:
     ) -> CandidatePredicate | None:
         """Best predicate for one feature over this view's rows.
 
-        ``positives`` (the view's positive-label count) is the same for
-        every feature — callers sweeping many features should compute it
-        once and pass it in.
+        ``positives`` (the view's positive-label count, used by
+        unconstrained searches) is the same for every feature — callers
+        sweeping many features should compute it once and pass it in.
         """
         column = self.matrix.column(feature)
-        order = self.order_for(feature) if column.numeric else _EMPTY_ORDER
-        return search_column(column, self.indices, order, labels, required_value,
-                             table=self.matrix.gain_table, positives=positives)
+        table = self.matrix.gain_table
+        if required_value is _UNCONSTRAINED:
+            order = self.order_for(feature) if column.numeric else _EMPTY_ORDER
+            return search_column(column, self.indices, order, labels,
+                                 table=table, positives=positives)
+        if len(self.indices) == 0:
+            return None
+        return _search_constrained(
+            column, len(self.indices), required_value, table,
+            self.member_bits(), self.positive_bits(labels),
+            labels, lambda: self.order_for(feature),
+        )
 
     def narrow(self, keep: bytearray) -> "MatrixView":
         """The sub-view of rows flagged in ``keep`` (orders filtered stably)."""
@@ -344,7 +455,13 @@ class MatrixView:
             feature: array("l", compress(order, map(keep_of, order)))
             for feature, order in self._orders.items()
         }
-        return MatrixView(self.matrix, indices, orders)
+        view = MatrixView(self.matrix, indices, orders)
+        if self._bits is not None:
+            view._bits = self._bits & flags_to_bits(keep)
+            if self._labels is not None:
+                view._labels = self._labels
+                view._positive = view._bits & self._labels[1]
+        return view
 
     def split(self, keep: bytearray) -> "tuple[MatrixView, MatrixView]":
         """Partition into (flagged, unflagged) sub-views, stably."""
@@ -386,8 +503,9 @@ def search_column(
     candidate induces the same bipartition as its ``<=`` twin at the same
     midpoint, their gains are exactly equal (IEEE addition is commutative),
     and the first-wins tie rule always keeps ``<=``.  With a required value
-    the satisfied side is decided per midpoint instead, preserving the row
-    path's candidate sequence exactly.
+    the search is :func:`_search_constrained`, which decides the satisfied
+    side per midpoint instead, preserving the row path's candidate sequence
+    exactly.
 
     :param column: the encoded feature column.
     :param indices: row indices of the current subset (any order).
@@ -404,13 +522,16 @@ def search_column(
     n_total = len(indices)
     if n_total == 0:
         return None
-    constrained = required_value is not _UNCONSTRAINED
-    if constrained and required_value is None:
-        return None
     if table is None:
         table = build_xlog2_table(n_total)
+    if required_value is not _UNCONSTRAINED:
+        member = index_bits(indices, len(column))
+        return _search_constrained(
+            column, n_total, required_value, table,
+            member, member & flags_to_bits(labels), labels, lambda: order,
+        )
 
-    if column.clean and not constrained:
+    if column.clean:
         # Clean numeric column: equality buckets coincide with the sorted
         # order's runs, so one fused pass yields both candidate families.
         return _search_clean_numeric(column, indices, order, labels, n_total,
@@ -452,34 +573,12 @@ def search_column(
     best_constant: Any = None
 
     # Equality candidates, in canonical value order (deterministic ties).
-    if constrained:
-        # Only the required value itself can appear in an equality predicate
-        # the pair of interest satisfies; an absent value would create a
-        # degenerate partition and is skipped.  ``required == required``
-        # filters NaN, which satisfies no equality.
-        try:
-            code = column.code_of.get(required_value, -1)
-        except TypeError:  # unhashable required value: never stored
-            code = -1
-        if code < 0:
-            packed = 0
-        elif flat:
-            packed = counts[code]
-        else:
-            packed = counts.get(code, 0)
-        if packed and required_value == required_value:
-            equality_candidates = [(code, required_value)]
-        else:
-            equality_candidates = []
+    eq_values = column.eq_values
+    if flat:
+        ordered = column.canonical_codes
     else:
-        eq_values = column.eq_values
-        if flat:
-            ordered = column.canonical_codes
-        else:
-            rank = column.eq_rank
-            ordered = sorted(counts, key=rank.__getitem__)
-        equality_candidates = [(code, eq_values[code]) for code in ordered]
-    for code, constant in equality_candidates:
+        ordered = sorted(counts, key=column.eq_rank.__getitem__)
+    for code in ordered:
         packed = counts[code] if flat else counts.get(code, 0)
         if not packed:
             continue
@@ -498,20 +597,13 @@ def search_column(
         if best_operator is None or gain > best_gain + tolerance:
             best_gain = gain
             best_operator = "=="
-            best_constant = constant
+            best_constant = eq_values[code]
 
     if not column.numeric or len(order) < 2:
         return _finalize(column.name, best_operator, best_constant, best_gain)
 
-    # Threshold candidates over midpoints between consecutive distinct
-    # values of the presorted subset (prefix counts, no re-sorting).
-    if constrained:
-        # The required value fixes which side of every midpoint is usable.
-        # Non-numeric (and NaN) required values satisfy no threshold at all
-        # — mirroring ``_satisfies`` returning False on TypeError.
-        if not isinstance(required_value, (int, float)) or required_value != required_value:
-            return _finalize(column.name, best_operator, best_constant, best_gain)
-
+    # ``<=`` candidates over midpoints between consecutive distinct values
+    # of the presorted subset (prefix counts, no re-sorting).
     floats = column.floats
     iterator = iter(order)
     first = next(iterator)
@@ -523,19 +615,117 @@ def search_column(
         if value != previous:
             threshold = (previous + value) / 2.0
             previous = value
-            # ``<= threshold``: the inside partition is the prefix;
-            # ``> threshold`` is the same bipartition from the suffix side.
-            if not constrained:
-                n_in = cumulative_n
-                pos_in = cumulative_pos
-                operator = "<="
-            elif required_value <= threshold:
-                n_in = cumulative_n
-                pos_in = cumulative_pos
+            n_in = cumulative_n
+            pos_in = cumulative_pos
+            # Inline gain: same expression tree as CandidateSelector.consider.
+            n_out = n_total - n_in
+            pos_out = pos_total - pos_in
+            parts = parent_parts - (
+                (table[n_in] - table[pos_in] - table[n_in - pos_in])
+                + (table[n_out] - table[pos_out] - table[n_out - pos_out])
+            )
+            gain = parts / n_total if parts > 0.0 else 0.0
+            if best_operator is None or gain > best_gain + tolerance:
+                best_gain = gain
+                best_operator = "<="
+                best_constant = threshold
+        if labels[index]:
+            cumulative_pos += 1
+        cumulative_n += 1
+
+    return _finalize(column.name, best_operator, best_constant, best_gain)
+
+
+def _is_threshold_value(value: Any) -> bool:
+    """Whether a required value can satisfy a threshold at all: non-numeric
+    and NaN values satisfy none (``_satisfies`` returns False on
+    TypeError)."""
+    return isinstance(value, (int, float)) and value == value
+
+
+def _search_constrained(
+    column: FeatureColumn,
+    n_total: int,
+    required_value: Any,
+    table: Sequence[float],
+    member: int,
+    positive: int,
+    labels: bytearray,
+    order_of: Callable[[], Sequence[int]],
+) -> CandidatePredicate | None:
+    """The best predicate ``required_value`` satisfies (Algorithm 1's search).
+
+    ``member`` and ``positive`` are the searched rows and their positive
+    rows as bitsets, ``n_total`` the number of searched rows.  Only the
+    required value itself can appear in an equality predicate the pair of
+    interest satisfies, so its counts are two ``int.bit_count()`` calls
+    over the column's cached bitset for that value.  Thresholds sweep the
+    searched rows' runs of equal values in ascending order
+    (:func:`_present_runs`); the required value fixes which side of every
+    midpoint is usable.
+
+    The winner carries ``counts`` — its (matching, positive) rows — when
+    they are exactly the rows ``satisfied_by`` accepts: always for ``==``
+    (codes are assigned under dict equality, the relation ``==``
+    evaluates); for ``<=`` and ``>`` only on clean columns and only when
+    the midpoint lies strictly between the two runs it separates (a
+    midpoint that rounds onto a run, or overflows to infinity, moves rows
+    across the threshold); for ``>`` only when every searched row is
+    threshold-eligible (the suffix count includes missing rows, which
+    satisfy nothing).
+    """
+    if required_value is None:
+        return None
+    pos_total = positive.bit_count()
+    parent_parts = table[n_total] - table[pos_total] - table[n_total - pos_total]
+    tolerance = GAIN_TIE_TOLERANCE
+    best_gain = -1.0
+    best_operator: str | None = None
+    best_constant: Any = None
+    best_counts: tuple[int, int] | None = None
+
+    # An absent value would create a degenerate partition and is skipped;
+    # ``required == required`` filters NaN, which satisfies no equality.
+    try:
+        code = column.code_of.get(required_value, -1)
+    except TypeError:  # unhashable required value: never stored
+        code = -1
+    if code >= 0 and required_value == required_value:
+        bits = column.code_bits(code)
+        n_in = (member & bits).bit_count()
+        if n_in and n_in != n_total:
+            pos_in = (positive & bits).bit_count()
+            # Inline gain: same expression tree as CandidateSelector.consider.
+            n_out = n_total - n_in
+            pos_out = pos_total - pos_in
+            parts = parent_parts - (
+                (table[n_in] - table[pos_in] - table[n_in - pos_in])
+                + (table[n_out] - table[pos_out] - table[n_out - pos_out])
+            )
+            best_gain = parts / n_total if parts > 0.0 else 0.0
+            best_operator = "=="
+            best_constant = required_value
+            best_counts = (n_in, pos_in)
+
+    if not column.numeric or not _is_threshold_value(required_value):
+        return _finalize(column.name, best_operator, best_constant, best_gain,
+                         best_counts)
+
+    # Midpoints between consecutive runs: ``n_below``/``pos_below`` count
+    # the rows (and positives) of every run before the current one.
+    n_below = pos_below = 0
+    low = 0.0
+    for high, n_run, pos_run in _present_runs(column, member, positive, labels, order_of):
+        if n_below:
+            threshold = (low + high) / 2.0
+            if required_value <= threshold:
+                n_in = n_below
+                pos_in = pos_below
                 operator = "<="
             else:
-                n_in = n_total - cumulative_n
-                pos_in = pos_total - cumulative_pos
+                # The suffix is the complement of the prefix (see module docs).
+                n_in = n_total - n_below
+                pos_in = pos_total - pos_below
                 operator = ">"
             # Inline gain: same expression tree as CandidateSelector.consider.
             n_out = n_total - n_in
@@ -549,11 +739,47 @@ def search_column(
                 best_gain = gain
                 best_operator = operator
                 best_constant = threshold
-        if labels[index]:
-            cumulative_pos += 1
-        cumulative_n += 1
+                best_counts = (n_in, pos_in) if low < threshold < high else None
+        n_below += n_run
+        pos_below += pos_run
+        low = high
+    if best_counts is not None and best_operator != "==":
+        # Threshold counts are the satisfied rows only on clean columns, and
+        # a ``>`` suffix only when every searched row is in some run.
+        if not column.clean or (best_operator == ">" and n_below != n_total):
+            best_counts = None
+    return _finalize(column.name, best_operator, best_constant, best_gain, best_counts)
 
-    return _finalize(column.name, best_operator, best_constant, best_gain)
+
+def _present_runs(
+    column: FeatureColumn,
+    member: int,
+    positive: int,
+    labels: bytearray,
+    order_of: Callable[[], Sequence[int]],
+) -> Iterator[tuple[float, int, int]]:
+    """``(value, rows, positive rows)`` of each distinct threshold-eligible
+    value among the searched rows, in ascending order.
+
+    Columns with few runs count each run as ``int.bit_count()`` of its
+    bitset ANDed with ``member`` and ``positive``; the others sweep the
+    searched rows' presorted order (``order_of()``) with C-level passes.
+    """
+    runs = column.run_bits()
+    if runs is not None:
+        for value, bits in zip(*runs):
+            n_run = (member & bits).bit_count()
+            if n_run:
+                yield value, n_run, (positive & bits).bit_count()
+        return
+    order = order_of()
+    values = list(map(column.floats.__getitem__, order))
+    flags = bytes(map(labels.translate(_TRUTH_FLAGS).__getitem__, order))
+    bounds = compress(range(1, len(values)), map(ne, values, islice(values, 1, None)))
+    start = 0
+    for end in chain(bounds, (len(values),) if values else ()):
+        yield values[start], end - start, flags.count(1, start, end)
+        start = end
 
 
 #: Packed per-code counters: positives in the high bits, count in the low.
@@ -647,8 +873,12 @@ def _search_clean_numeric(
 
 
 def _finalize(
-    feature: str, operator: str | None, constant: Any, gain: float
+    feature: str,
+    operator: str | None,
+    constant: Any,
+    gain: float,
+    counts: tuple[int, int] | None = None,
 ) -> CandidatePredicate | None:
     if operator is None:
         return None
-    return CandidatePredicate(feature, operator, constant, gain)
+    return CandidatePredicate(feature, operator, constant, gain, counts)

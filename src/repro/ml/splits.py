@@ -31,7 +31,7 @@ across features: gain first, then feature name, then operator rank.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Sequence
 
 #: Sentinel meaning "no required value constraint".
@@ -51,12 +51,20 @@ OPERATOR_RANK = {"==": 0, "<=": 1, ">": 2, "!=": 3, "<": 4, ">=": 5}
 
 @dataclass(frozen=True)
 class CandidatePredicate:
-    """An atomic predicate over one feature, with its information gain."""
+    """An atomic predicate over one feature, with its information gain.
+
+    ``counts`` is ``(matching, positive)``: how many of the searched rows
+    satisfy the predicate, and how many of those are positive — set only
+    when the search's own counts are exactly the rows :meth:`satisfied_by`
+    accepts, so a consumer may use them instead of recounting.  It takes
+    no part in equality.
+    """
 
     feature: str
     operator: str
     value: Any
     gain: float
+    counts: tuple[int, int] | None = field(default=None, compare=False, repr=False)
 
     def satisfied_by(self, value: Any) -> bool:
         """Whether a feature value satisfies this predicate (missing -> False)."""

@@ -25,10 +25,12 @@ from test_pair_pipeline_equivalence import _columns_equal, random_log
 
 from repro.core.api import PerfXplainSession
 from repro.core.examples import construct_training_matrix
+from repro.core.explainer import PerfXplainExplainer
 from repro.core.features import infer_schema
 from repro.core.pairkernel import PairKernel
 from repro.core.pairs import raw_feature_of
 from repro.core.pxql.parser import parse_query
+from repro.core.queries import find_pair_of_interest
 from repro.ingest import ingest_path
 
 JHIST_FIXTURE = (
@@ -82,16 +84,30 @@ def test_a_detector_derives_only_the_features_it_cites(derivations, technique):
 
 
 def test_racing_readers_derive_each_raw_feature_once(derivations):
+    """Racing column readers and explanations over one cold matrix.
+
+    Besides reading columns, every reader explains a query from the shared
+    matrix, so the columns' lazily built codes and bitsets are filled by
+    racing threads too; every answer must equal the serial one.
+    """
     log = random_log(5)
     schema = infer_schema(log.jobs)
     query = parse_query(JOB_QUERY)
+    bound = query.with_pair(*find_pair_of_interest(log, query, schema))
 
     def cold_matrix():
         return construct_training_matrix(log, query, schema, rng=random.Random(5))
 
+    def explain(matrix) -> str:
+        explanation = PerfXplainExplainer().explain(
+            log, bound, schema=schema, width=3, examples=matrix
+        )
+        return explanation.to_json()
+
     serial = cold_matrix()
     features = list(serial.matrix.features)
     expected = {feature: serial.matrix.column(feature).raw for feature in features}
+    serial_answer = explain(serial)
     derived_serially = dict(derivations)
     derivations.clear()
 
@@ -99,13 +115,18 @@ def test_racing_readers_derive_each_raw_feature_once(derivations):
     threads = 4 * max(2, os.cpu_count() or 1)
     barrier = threading.Barrier(threads)
     seen: dict[int, dict] = {}
+    answers: dict[int, str] = {}
     errors: list[BaseException] = []
 
     def read(offset: int) -> None:
         try:
             barrier.wait(timeout=30)
+            if offset % 2:
+                answers[offset] = explain(matrix)
             order = features[offset % len(features):] + features[: offset % len(features)]
             seen[offset] = {feature: matrix.matrix.column(feature).raw for feature in order}
+            if not offset % 2:
+                answers[offset] = explain(matrix)
         except BaseException as error:  # noqa: BLE001 - reported below
             errors.append(error)
 
@@ -126,6 +147,7 @@ def test_racing_readers_derive_each_raw_feature_once(derivations):
     assert derivations == Counter(derived_serially)
     assert set(derivations.values()) == {1}
     assert len(seen) == threads
+    assert answers == {offset: serial_answer for offset in seen}
     for columns in seen.values():
         for feature in features:
             # One published column per feature, equal to the serial one.

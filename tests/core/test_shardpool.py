@@ -2,7 +2,14 @@
 
 from __future__ import annotations
 
+import json
+import os
+import signal
+import subprocess
+import sys
 import threading
+import time
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +29,7 @@ from repro.core.pairshard import (
     shard_token,
 )
 from repro.core.pxql.parser import parse_query
+from tests.logs.test_spill_cleanup import _session_members
 
 fork_only = pytest.mark.skipif(
     _fork_context() is None, reason="requires the fork start method"
@@ -213,3 +221,145 @@ def _candidates(kernel, groups):
     from repro.core.pairkernel import iter_candidate_batches
 
     return iter_candidate_batches(kernel.block, groups, None, 0)
+
+
+SRC = Path(__file__).resolve().parents[2] / "src"
+
+#: One sharded generation over a spilling chunked log in which a worker
+#: SIGKILLs itself on one chosen batch, then a second generation on the
+#: same pool, then a third after both idle workers were killed, then a
+#: shutdown after the new pool's idle workers were killed too.  Prints
+#: each stream's agreement with the serial stream, the first generation's
+#: wall time and the pool's counters.
+LOST_WORKER_SCRIPT = """
+import json
+import os
+import random
+import signal
+import sys
+import time
+
+from repro.core import pairshard
+from repro.core.examples import pair_kernel_for
+from repro.core.features import infer_schema
+from repro.core.pairkernel import blocking_group_indices, iter_candidate_batches
+from repro.core.pairs import PairFeatureConfig
+from repro.core.pxql.parser import parse_query
+from repro.logs.records import TaskRecord
+from repro.logs.store import ExecutionLog
+
+rng = random.Random(5)
+log = ExecutionLog()
+for index in range(480):
+    job = index // 24
+    features = {
+        "host": f"h{rng.randrange(6)}",
+        "size": float(rng.choice([64, 128, 256])),
+    }
+    duration = 10.0 * (1 + job % 5) * rng.choice([1.0, 1.05, 3.0])
+    log.add_task(TaskRecord(f"t{index}", f"j{job}", features, duration))
+log.configure_blocks(chunk_rows=64, max_resident_chunks=20, spill_directory=sys.argv[1])
+query = parse_query(
+    "FOR TASKS ?, ? DESPITE host_isSame = T AND size_compare = SIM "
+    "OBSERVED duration_compare = GT EXPECTED duration_compare = SIM"
+)
+schema = infer_schema(log.tasks)
+kernel = pair_kernel_for(log, query, schema, PairFeatureConfig())
+groups = blocking_group_indices(kernel.block, ["host"])
+
+
+def stream(workers, pool=None):
+    batches = pairshard.iter_evaluated_batches(
+        kernel, query, groups, None, 0, workers=workers, batch_size=64, pool=pool
+    )
+    return [(f, s, bytes(o)) for f, s, o in batches]
+
+
+serial = stream(1)
+firsts, seconds = list(iter_candidate_batches(kernel.block, groups, None, 0, 64))[5]
+chosen = (firsts[0], seconds[0])
+parent = os.getpid()
+evaluate = pairshard.evaluate_candidate_batch
+
+
+def dying(kernel, query, firsts, seconds):
+    if os.getpid() != parent and (firsts[0], seconds[0]) == chosen:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return evaluate(kernel, query, firsts, seconds)
+
+
+pool = pairshard.ShardPool()
+pairshard.evaluate_candidate_batch = dying
+start = time.monotonic()
+lost = stream(2, pool)
+elapsed = time.monotonic() - start
+pairshard.evaluate_candidate_batch = evaluate
+after_loss = pool.stats()
+again = stream(2, pool)
+after_next = pool.stats()
+# Workers killed while idle may die holding a queue lock the pool's
+# teardown takes; the next generation must still re-fork and finish.
+for process in pool._handle.processes:
+    os.kill(process.pid, signal.SIGKILL)
+    process.join()
+idle = stream(2, pool)
+after_idle = pool.stats()
+# Nor may shutting down a pool whose workers died idle block.
+for process in pool._handle.processes:
+    os.kill(process.pid, signal.SIGKILL)
+    process.join()
+pool.shutdown()
+print(json.dumps({
+    "batches": len(serial),
+    "lost_equal": lost == serial,
+    "again_equal": again == serial,
+    "idle_equal": idle == serial,
+    "elapsed": elapsed,
+    "after_loss": after_loss,
+    "after_next": after_next,
+    "after_idle": after_idle,
+}))
+"""
+
+
+@fork_only
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="requires /proc")
+def test_lost_worker_finishes_in_process_and_the_next_generation_reforks(tmp_path):
+    spill = tmp_path / "spill"
+    spill.mkdir()
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    process = subprocess.Popen(
+        [sys.executable, "-c", LOST_WORKER_SCRIPT, str(spill)],
+        env={**os.environ, "PYTHONPATH": path},
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        start_new_session=True,
+    )
+    try:
+        stdout, stderr = process.communicate(timeout=120)
+    finally:
+        if process.poll() is None:
+            os.killpg(process.pid, signal.SIGKILL)
+            process.wait()
+    assert process.returncode == 0, stderr
+    report = json.loads(stdout.splitlines()[-1])
+    assert report["batches"] > 5
+    assert report["lost_equal"]
+    assert report["elapsed"] < 30.0
+    assert report["after_loss"]["lost_pools"] == 1
+    assert report["after_loss"]["forks"] == 1
+    assert report["again_equal"]
+    assert report["after_next"]["forks"] == 2
+    assert report["idle_equal"]
+    assert report["after_idle"]["lost_pools"] == 2
+    assert report["after_idle"]["forks"] == 3
+
+    deadline = time.monotonic() + 10.0
+    while _session_members(process.pid) and time.monotonic() < deadline:
+        time.sleep(0.1)
+    leftover = _session_members(process.pid)
+    for pid in leftover:
+        os.kill(pid, signal.SIGKILL)
+    assert leftover == []
+    assert sorted(entry.name for entry in spill.iterdir()) == []

@@ -51,10 +51,12 @@ for index in range(480):
     log.add_task(TaskRecord(f"t{index}", f"j{job}", features, duration))
 # The first question's columns fit the working set, so the pool forks
 # before the parent has spilled anything; the second question's columns
-# are new to that pool, so its workers encode them and spill first.
+# are new to that pool, so its workers encode them and spill first.  (Its
+# blocked atoms never reach the workers: candidates are grouped on them.
+# ``size_compare`` is not blocked, and ``size`` is new to the pool.)
 log.configure_blocks(chunk_rows=64, max_resident_chunks=20, spill_directory=sys.argv[1])
 session = PerfXplainSession(log, config=PerfXplainConfig(pair_workers=2))
-for despite in ("job_isSame = T", "host_isSame = T AND op_isSame = T"):
+for despite in ("job_isSame = T", "host_isSame = T AND op_isSame = T AND size_compare = SIM"):
     session.explain(
         f"FOR TASKS ?, ? DESPITE {despite} "
         "OBSERVED duration_compare = GT EXPECTED duration_compare = SIM"

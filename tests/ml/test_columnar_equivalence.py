@@ -17,6 +17,7 @@ import random
 import pytest
 
 from repro.ml.decision_tree import DecisionTree, DecisionTreeNode
+from repro.ml.matrix import FeatureMatrix
 from repro.ml.splits import best_predicate_for_feature
 
 from tests.oracles.rowpath import RowPathDecisionTree, rowpath_best_predicate_for_feature
@@ -59,6 +60,50 @@ def random_dataset(seed: int) -> tuple[list[dict], list[bool], dict[str, bool]]:
     return rows, labels, numeric
 
 
+def edge_dataset(seed: int) -> tuple[list[dict], list[bool], dict[str, bool]]:
+    """Columns whose threshold and equality counts are easy to get wrong.
+
+    * ``e_ulp`` — adjacent doubles ``1 + 2**-52`` and ``1 + 2**-51``,
+      whose midpoint rounds onto the upper value;
+    * ``e_huge`` — ``1.6e308`` and ``1.7e308``, whose midpoint overflows
+      to ``inf``;
+    * ``e_mixed`` — bools and NaN inside a numeric column;
+    * ``e_ones`` — ``1``, ``1.0``, ``True`` and ``"1"`` in one nominal
+      column (the first three are one dict-equality class);
+    * ``e_gt`` — a numeric column whose best constrained threshold is a
+      ``>`` that the labels favour, beside missing rows.
+    """
+    rng = random.Random(seed)
+    n = rng.randint(6, 60)
+    rows: list[dict] = []
+    labels: list[bool] = []
+    for _ in range(n):
+        high = rng.choice([1.0, 2.0, 3.0, 4.0, None])
+        rows.append({
+            "e_ulp": rng.choice([1.0, 1 + 2**-52, 1 + 2**-51, 2.0, None]),
+            "e_huge": rng.choice([-1.7e308, 1.6e308, 1.7e308, 0.0, None]),
+            "e_mixed": rng.choice([True, False, float("nan"), 0.5, 2.0, 1, None]),
+            "e_ones": rng.choice([1, 1.0, True, "1", "2", None]),
+            "e_gt": high,
+        })
+        favoured = high is not None and high >= 3.0
+        labels.append(favoured if rng.random() < 0.8 else not favoured)
+    numeric = {
+        "e_ulp": True, "e_huge": True, "e_mixed": True, "e_ones": False,
+        "e_gt": True,
+    }
+    return rows, labels, numeric
+
+
+def _assert_counts_exact(candidate, rows, values, labels) -> None:
+    """A candidate's reported counts are the rows ``satisfied_by`` accepts."""
+    if candidate is None or candidate.counts is None:
+        return
+    matching = [row for row in rows if candidate.satisfied_by(values[row])]
+    positive = sum(1 for row in matching if labels[row])
+    assert candidate.counts == (len(matching), positive)
+
+
 def tree_signature(node: DecisionTreeNode | None):
     """A comparable rendering of a fitted tree (splits and leaf posteriors)."""
     if node is None:
@@ -90,15 +135,36 @@ class TestSplitSearchEquivalence:
                 # Bit-identical gains, not just approximately equal.
                 assert columnar.gain == rowpath.gain
 
-    @pytest.mark.parametrize("seed", DATASET_SEEDS)
-    def test_constrained_splits_identical(self, seed):
-        rows, labels, numeric = random_dataset(seed)
+    @pytest.mark.parametrize(
+        "dataset, seed",
+        [pytest.param(random_dataset, seed, id=str(seed)) for seed in DATASET_SEEDS]
+        + [pytest.param(edge_dataset, seed, id=f"edge-{seed}") for seed in DATASET_SEEDS],
+    )
+    def test_constrained_splits_identical(self, dataset, seed):
+        """Constrained search over all rows and over narrowed subsets.
+
+        The explainer grows clauses over narrowed views, so besides the
+        row adapter every feature is searched through
+        ``FeatureMatrix.view(subset)`` and through ``narrow`` (whose
+        bitsets are ANDed down from the parent's) on random subsets, each
+        against the row path over the same rows.  Wherever a candidate
+        reports counts, they must be the rows ``satisfied_by`` accepts.
+        """
+        rows, labels, numeric = dataset(seed)
         rng = random.Random(seed + 1000)
+        matrix = FeatureMatrix.from_rows(rows, numeric=numeric, features=list(numeric))
+        label_bits = bytearray(1 if label else 0 for label in labels)
+        subsets = [list(range(len(rows)))] + [
+            sorted(rng.sample(range(len(rows)), rng.randint(1, len(rows))))
+            for _ in range(3)
+        ]
         for feature, is_numeric in numeric.items():
             values = [row.get(feature) for row in rows]
             present = [value for value in values if value is not None]
             required_options = [None, "never-present"]
-            if present:
+            if dataset is edge_dataset:
+                required_options.extend(present)
+            elif present:
                 required_options.append(rng.choice(present))
             for required in required_options:
                 columnar = best_predicate_for_feature(
@@ -110,6 +176,26 @@ class TestSplitSearchEquivalence:
                     required_value=required,
                 )
                 assert columnar == rowpath
+                _assert_counts_exact(columnar, range(len(rows)), values, labels)
+                for subset in subsets:
+                    keep = bytearray(len(rows))
+                    for index in subset:
+                        keep[index] = 1
+                    parent = matrix.view()
+                    parent.positive_bits(label_bits)
+                    expected = rowpath_best_predicate_for_feature(
+                        feature, [values[i] for i in subset],
+                        [labels[i] for i in subset], numeric=is_numeric,
+                        required_value=required,
+                    )
+                    for view in (matrix.view(subset), parent.narrow(keep)):
+                        found = view.best_predicate(
+                            feature, label_bits, required_value=required
+                        )
+                        assert found == expected
+                        if found is not None:
+                            assert found.gain == expected.gain
+                        _assert_counts_exact(found, subset, values, labels)
 
 
 class TestTreeEquivalence:
