@@ -34,7 +34,9 @@ generation waits for each result in bounded steps and checks the
 sentinels of the workers its pool forked; on a loss the pool is retired
 and every batch still pending is evaluated in-process, in submission
 order — the same bytes, since any worker count yields the same stream.
-The next generation forks a fresh pool.
+The next generation forks a fresh pool.  A lost pool's own teardown runs
+on a daemon thread, so no query waits on the pool's threads, one of which
+a worker killed mid-send can leave waiting forever.
 """
 
 from __future__ import annotations
@@ -200,33 +202,46 @@ class _PoolHandle:
         return bool(wait([process.sentinel for process in self.processes], timeout=0))
 
     def terminate(self) -> None:
-        """Tear the pool down; never blocks on a lost worker's locks.
+        """Tear the pool down; never waits on a lost worker.
 
         ``Pool.terminate`` takes the task queue's read lock, which an idle
         worker holds while it waits for a task, and the result queue's
         write lock, which a worker holds while it sends a result — a
-        worker killed holding either never releases it.  For a pool that
-        lost a worker (noticed or not: shutdown can find one that died
-        idle), replacement forks are stopped and every worker is killed
-        first, then both locks are freed.
+        worker killed holding either never releases it.  It then joins the
+        pool's result handler, which waits forever for the rest of a
+        result a worker was killed while sending.  For a pool that lost a
+        worker (noticed or not: shutdown can find one that died idle),
+        replacement forks are stopped, every worker is killed and both
+        locks are freed; the rest of the teardown runs on a daemon thread
+        that is waited on only for :data:`LIVENESS_POLL_S`.
         """
         pool = self.pool
-        if self.lost or self.worker_died():
-            handler = pool._worker_handler
-            handler._state = multiprocessing.pool.TERMINATE
-            pool._change_notifier.put(None)
-            handler.join()
-            for process in pool._pool:
-                process.kill()
-                process.join()
-            for lock in (pool._inqueue._rlock, pool._outqueue._wlock):
-                # The pool's own threads hold these only for a send; one
-                # still held after the timeout belongs to a dead worker.
-                if lock is not None:
-                    lock.acquire(timeout=LIVENESS_POLL_S)
-                    lock.release()
-        pool.terminate()
-        pool.join()
+        if not (self.lost or self.worker_died()):
+            _close_pool(pool)
+            return
+        handler = pool._worker_handler
+        handler._state = multiprocessing.pool.TERMINATE
+        pool._change_notifier.put(None)
+        handler.join()
+        for process in pool._pool:
+            process.kill()
+            process.join()
+        for lock in (pool._inqueue._rlock, pool._outqueue._wlock):
+            # The pool's own threads hold these only for a send; one
+            # still held after the timeout belongs to a dead worker.
+            if lock is not None:
+                lock.acquire(timeout=LIVENESS_POLL_S)
+                lock.release()
+        teardown = threading.Thread(
+            target=_close_pool, args=(pool,), name="shard-pool-teardown", daemon=True
+        )
+        teardown.start()
+        teardown.join(LIVENESS_POLL_S)
+
+
+def _close_pool(pool: "multiprocessing.pool.Pool") -> None:
+    pool.terminate()
+    pool.join()
 
 
 class ShardPool:
@@ -326,21 +341,34 @@ class ShardPool:
                 out_firsts, out_seconds, observed = result.get()
                 return out_firsts, out_seconds, bytearray(observed)
             if handle.worker_died():
-                self._lose(handle)
+                # This generation holds the pool, so its last one tears it down.
+                with self._lock:
+                    self._retire_lost(handle)
         return evaluate_candidate_batch(kernel, query, firsts, seconds)
 
-    def _lose(self, handle: _PoolHandle) -> None:
-        """Retire a pool that lost a worker; its last generation tears it down."""
-        with self._lock:
-            if handle.lost:
-                return
-            handle.lost = True
-            self._losses += 1
-            if self._handle is handle:
-                self._handle = None
-            if not handle.retired:
-                handle.retired = True
-                self._retired.append(handle)
+    def _retire_lost(self, handle: _PoolHandle) -> _PoolHandle | None:
+        """Record that a pool lost a worker and retire it (lock held);
+        returns it as :meth:`_retire` does."""
+        if handle.lost:
+            return None
+        handle.lost = True
+        self._losses += 1
+        if self._handle is handle:
+            self._handle = None
+        return None if handle.retired else self._retire(handle)
+
+    def _retire(self, handle: _PoolHandle) -> _PoolHandle | None:
+        """Retire a pool (lock held): it accepts no new generations.
+
+        Returns the handle when no generation holds it, for the caller to
+        terminate outside the lock; otherwise the last generation's
+        :meth:`_release` does.
+        """
+        handle.retired = True
+        if handle.active == 0:
+            return handle
+        self._retired.append(handle)
+        return None
 
     def _acquire(
         self,
@@ -353,14 +381,12 @@ class ShardPool:
         terminate: _PoolHandle | None = None
         with self._lock:
             handle = self._handle
-            if handle is not None and not handle.retired and handle.worker_died():
+            if handle is not None and handle.worker_died():
                 # Lost while idle: re-fork rather than wait on it.
-                handle.lost = True
-                self._losses += 1
+                terminate = self._retire_lost(handle)
+                handle = None
             if (
                 handle is not None
-                and not handle.lost
-                and not handle.retired
                 and token in handle.kernels
                 and handle.workers >= workers
             ):
@@ -368,7 +394,8 @@ class ShardPool:
                 self._kernels[token] = kernel
                 self._kernels.move_to_end(token)
             else:
-                handle, terminate = self._refork(context, token, kernel, workers)
+                handle, previous = self._refork(context, token, kernel, workers)
+                terminate = terminate or previous
             handle.active += 1
             self._active_generations += 1
             if self._active_generations > self._max_concurrent_generations:
@@ -408,14 +435,7 @@ class ShardPool:
         handle = _PoolHandle(pool, shipped, workers)
         previous = self._handle
         self._handle = handle
-        terminate: _PoolHandle | None = None
-        if previous is not None:
-            previous.retired = True
-            if previous.active == 0:
-                terminate = previous
-            else:
-                self._retired.append(previous)
-        return handle, terminate
+        return handle, None if previous is None else self._retire(previous)
 
     def _release(self, handle: _PoolHandle) -> None:
         """Drop one generation's hold; tear down a drained retired pool."""
@@ -442,22 +462,12 @@ class ShardPool:
         consumer, so shutdown never hangs or breaks an in-flight query.
         The pool object remains usable: the next :meth:`run` re-forks.
         """
-        finished: list[_PoolHandle] = []
         with self._lock:
             self._kernels.clear()
-            handles = list(self._retired)
-            if self._handle is not None:
-                handles.append(self._handle)
-                self._handle = None
-            self._retired = []
-            for handle in handles:
-                handle.retired = True
-                if handle.active == 0:
-                    finished.append(handle)
-                else:
-                    self._retired.append(handle)
-        for handle in finished:
-            handle.terminate()
+            handle, self._handle = self._handle, None
+            finished = None if handle is None else self._retire(handle)
+        if finished is not None:
+            finished.terminate()
 
     def stats(self) -> dict[str, int]:
         """Running counters (see class docs) plus the live pool's shape."""

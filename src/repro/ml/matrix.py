@@ -9,8 +9,7 @@ clause growth, RReliefF) operate on **index subsets** of that encoding:
 * :class:`FeatureColumn` — one feature's values encoded as integer codes
   (for equality counting), a ``float`` array plus validity mask (for
   threshold sweeps), **one global stable sort of the numeric order**, and
-  row bitsets: one per value code it has been asked about and one per run
-  of equal numeric values;
+  a row bitset per value code it has been asked about;
 * :class:`FeatureMatrix` — the per-feature columns of a dataset plus row
   count;
 * :class:`MatrixView` — an index subset of a matrix.  Narrowing a view
@@ -25,13 +24,11 @@ The two kinds of search count differently.  A **constrained** search (the
 explainer's Algorithm 1: only predicates the pair of interest satisfies)
 needs one equality candidate, so it counts that code's rows as
 ``int.bit_count()`` of the view's bitsets ANDed with the code's bitset, and
-sweeps thresholds run by run in ascending value order: each run's rows are
-counted the same way, except on columns with more than
-:data:`MAX_RUN_BITSETS` runs, which sweep the view's presorted order with
-C-level passes.  An **unconstrained** search (decision-tree splits)
-considers every value, so it keeps the per-code counting loop, and the
-fused single pass for clean numeric columns.  Bitsets are plain Python
-ints: bit ``i`` stands for row ``i``.
+sweeps thresholds over the view's presorted order with C-level passes.  An
+**unconstrained** search (decision-tree splits) considers every value, so
+it keeps the per-code counting loop, and the fused single pass for clean
+numeric columns.  Bitsets are plain Python ints: bit ``i`` stands for row
+``i``.
 
 Missing values (``None``) carry code ``-1`` and are excluded from the
 numeric order; at evaluation time they never *satisfy* any predicate,
@@ -82,11 +79,6 @@ def flags_to_bits(flags: bytes | bytearray) -> int:
     return int(flags.translate(_FLAG_DIGITS)[::-1], 2)
 
 
-#: Most runs of equal values a numeric column keeps as bitsets (their
-#: size is ``runs * rows / 8`` bytes, about the column's own at this bound).
-MAX_RUN_BITSETS = 256
-
-
 def index_bits(indices: Iterable[int], n_rows: int) -> int:
     """The bitset of a set of row indices."""
     flags = bytearray(n_rows)
@@ -100,7 +92,7 @@ class FeatureColumn:
 
     __slots__ = ("name", "numeric", "raw", "floats", "numeric_ok", "order",
                  "clean", "_codes", "_code_of", "_eq_values", "_eq_rank",
-                 "_canonical_codes", "_code_bits", "_runs")
+                 "_canonical_codes", "_code_bits")
 
     def __init__(self, name: str, numeric: bool) -> None:
         self.name = name
@@ -123,7 +115,6 @@ class FeatureColumn:
         self._eq_rank: list[int] | None = None
         self._canonical_codes: list[int] | None = None
         self._code_bits: dict[int, int] = {}
-        self._runs: tuple[list[float], list[int]] | bool | None = None
 
     @classmethod
     def from_values(cls, name: str, values: Sequence[Any], numeric: bool) -> "FeatureColumn":
@@ -236,32 +227,6 @@ class FeatureColumn:
             bits = flags_to_bits(bytes(map(code.__eq__, self.codes)))
             self._code_bits[code] = bits
         return bits
-
-    def run_bits(self) -> tuple[list[float], list[int]] | None:
-        """The presorted order's runs of equal values, as bitsets.
-
-        ``(values, bits)``: one float per run in ascending order and the
-        bitset of the rows holding it.  A column with more than
-        :data:`MAX_RUN_BITSETS` runs has none (``None``): its bitsets
-        would outweigh the column, so searches sweep its presorted order
-        instead.  Built on first use; racing readers build equal lists.
-        """
-        if self._runs is None:
-            order = self.order
-            values = list(map(self.floats.__getitem__, order))
-            starts = list(compress(range(1, len(values)),
-                                   map(ne, values, islice(values, 1, None))))
-            if len(starts) >= MAX_RUN_BITSETS:
-                self._runs = False
-            else:
-                n_rows = len(self.raw)
-                bounds = [0, *starts, len(values)] if values else [0]
-                self._runs = (
-                    [values[start] for start in bounds[:-1]],
-                    [index_bits(order[start:end], n_rows)
-                     for start, end in zip(bounds, bounds[1:])],
-                )
-        return self._runs or None
 
     def __len__(self) -> int:
         return len(self.raw)
@@ -661,8 +626,8 @@ def _search_constrained(
     interest satisfies, so its counts are two ``int.bit_count()`` calls
     over the column's cached bitset for that value.  Thresholds sweep the
     searched rows' runs of equal values in ascending order
-    (:func:`_present_runs`); the required value fixes which side of every
-    midpoint is usable.
+    (:func:`_present_runs`, over the presorted ``order_of()``); the
+    required value fixes which side of every midpoint is usable.
 
     The winner carries ``counts`` — its (matching, positive) rows — when
     they are exactly the rows ``satisfied_by`` accepts: always for ``==``
@@ -715,7 +680,7 @@ def _search_constrained(
     # the rows (and positives) of every run before the current one.
     n_below = pos_below = 0
     low = 0.0
-    for high, n_run, pos_run in _present_runs(column, member, positive, labels, order_of):
+    for high, n_run, pos_run in _present_runs(column, labels, order_of()):
         if n_below:
             threshold = (low + high) / 2.0
             if required_value <= threshold:
@@ -753,26 +718,14 @@ def _search_constrained(
 
 def _present_runs(
     column: FeatureColumn,
-    member: int,
-    positive: int,
     labels: bytearray,
-    order_of: Callable[[], Sequence[int]],
+    order: Sequence[int],
 ) -> Iterator[tuple[float, int, int]]:
     """``(value, rows, positive rows)`` of each distinct threshold-eligible
-    value among the searched rows, in ascending order.
-
-    Columns with few runs count each run as ``int.bit_count()`` of its
-    bitset ANDed with ``member`` and ``positive``; the others sweep the
-    searched rows' presorted order (``order_of()``) with C-level passes.
+    value among the searched rows, in ascending order: one C-level pass
+    over the searched rows' presorted ``order`` per list, and a count of
+    the positive flags per run.
     """
-    runs = column.run_bits()
-    if runs is not None:
-        for value, bits in zip(*runs):
-            n_run = (member & bits).bit_count()
-            if n_run:
-                yield value, n_run, (positive & bits).bit_count()
-        return
-    order = order_of()
     values = list(map(column.floats.__getitem__, order))
     flags = bytes(map(labels.translate(_TRUTH_FLAGS).__getitem__, order))
     bounds = compress(range(1, len(values)), map(ne, values, islice(values, 1, None)))

@@ -228,14 +228,16 @@ SRC = Path(__file__).resolve().parents[2] / "src"
 #: One sharded generation over a spilling chunked log in which a worker
 #: SIGKILLs itself on one chosen batch, then a second generation on the
 #: same pool, then a third after both idle workers were killed, then a
-#: shutdown after the new pool's idle workers were killed too.  Prints
-#: each stream's agreement with the serial stream, the first generation's
-#: wall time and the pool's counters.
+#: shutdown after the new pool's idle workers were killed too, leaving part
+#: of a result message in its result pipe.  Prints each stream's agreement
+#: with the serial stream, the first generation's and the shutdown's wall
+#: times and the pool's counters.
 LOST_WORKER_SCRIPT = """
 import json
 import os
 import random
 import signal
+import struct
 import sys
 import time
 
@@ -304,17 +306,24 @@ for process in pool._handle.processes:
     process.join()
 idle = stream(2, pool)
 after_idle = pool.stats()
-# Nor may shutting down a pool whose workers died idle block.
-for process in pool._handle.processes:
+# Nor may shutting down a pool whose workers died idle block, even when
+# a worker killed mid-send left part of a result in the result pipe: the
+# pool's result handler then waits for the rest forever.
+handle = pool._handle
+for process in handle.processes:
     os.kill(process.pid, signal.SIGKILL)
     process.join()
+os.write(handle.pool._outqueue._writer.fileno(), struct.pack("!i", 1 << 20) + b"\\x80")
+start = time.monotonic()
 pool.shutdown()
+shutdown_s = time.monotonic() - start
 print(json.dumps({
     "batches": len(serial),
     "lost_equal": lost == serial,
     "again_equal": again == serial,
     "idle_equal": idle == serial,
     "elapsed": elapsed,
+    "shutdown_s": shutdown_s,
     "after_loss": after_loss,
     "after_next": after_next,
     "after_idle": after_idle,
@@ -354,6 +363,7 @@ def test_lost_worker_finishes_in_process_and_the_next_generation_reforks(tmp_pat
     assert report["idle_equal"]
     assert report["after_idle"]["lost_pools"] == 2
     assert report["after_idle"]["forks"] == 3
+    assert report["shutdown_s"] < 10.0
 
     deadline = time.monotonic() + 10.0
     while _session_members(process.pid) and time.monotonic() < deadline:
