@@ -8,11 +8,12 @@ clause growth, RReliefF) operate on **index subsets** of that encoding:
 
 * :class:`FeatureColumn` — one feature's values encoded as integer codes
   (for equality counting), a ``float`` array plus validity mask (for
-  threshold sweeps), **one global stable sort of the numeric order**, and
-  a row bitset per value code it has been asked about;
+  threshold sweeps), **one global stable sort of the numeric order**, the
+  runs of equal values in that order, and a row bitset per value code it
+  has been asked about;
 * :class:`FeatureMatrix` — the per-feature columns of a dataset plus row
   count;
-* :class:`MatrixView` — an index subset of a matrix.  Narrowing a view
+* :class:`MatrixView` — an index subset of a matrix.  Splitting a view
   filters each cached numeric order *stably*, so the global sort is reused
   at every node instead of re-sorting; a view also holds its rows, and its
   positive rows, as bitsets;
@@ -24,7 +25,8 @@ The two kinds of search count differently.  A **constrained** search (the
 explainer's Algorithm 1: only predicates the pair of interest satisfies)
 needs one equality candidate, so it counts that code's rows as
 ``int.bit_count()`` of the view's bitsets ANDed with the code's bitset, and
-sweeps thresholds over the view's presorted order with C-level passes.  An
+sweeps thresholds over the column's presorted order run by run, counting
+the view's rows and positive rows in each run with one C-level pass.  An
 **unconstrained** search (decision-tree splits) considers every value, so
 it keeps the per-code counting loop, and the fused single pass for clean
 numeric columns.  Bitsets are plain Python ints: bit ``i`` stands for row
@@ -50,8 +52,8 @@ from __future__ import annotations
 import math
 from array import array
 from itertools import accumulate, chain, compress, islice
-from operator import ne
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
+from operator import mul, ne
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from repro.ml.splits import (
     CandidatePredicate,
@@ -67,8 +69,9 @@ _EMPTY_ORDER: array = array("l")
 #: Per-row flag byte -> binary digit, by truthiness (any nonzero byte is a
 #: set bit).
 _FLAG_DIGITS = b"0" + b"1" * 255
-#: Per-row flag byte -> ``0``/``1``, by truthiness.
-_TRUTH_FLAGS = b"\x00" + b"\x01" * 255
+#: Per-row label byte -> the row's state inside a view: ``1`` negative,
+#: ``2`` positive, by truthiness (rows outside the view are ``0``).
+_LABEL_STATES = b"\x01" + b"\x02" * 255
 
 
 def flags_to_bits(flags: bytes | bytearray) -> int:
@@ -79,20 +82,12 @@ def flags_to_bits(flags: bytes | bytearray) -> int:
     return int(flags.translate(_FLAG_DIGITS)[::-1], 2)
 
 
-def index_bits(indices: Iterable[int], n_rows: int) -> int:
-    """The bitset of a set of row indices."""
-    flags = bytearray(n_rows)
-    for index in indices:
-        flags[index] = 1
-    return flags_to_bits(flags)
-
-
 class FeatureColumn:
     """One feature's values, encoded once for repeated subset searches."""
 
     __slots__ = ("name", "numeric", "raw", "floats", "numeric_ok", "order",
                  "clean", "_codes", "_code_of", "_eq_values", "_eq_rank",
-                 "_canonical_codes", "_code_bits")
+                 "_canonical_codes", "_code_bits", "_runs")
 
     def __init__(self, name: str, numeric: bool) -> None:
         self.name = name
@@ -115,6 +110,7 @@ class FeatureColumn:
         self._eq_rank: list[int] | None = None
         self._canonical_codes: list[int] | None = None
         self._code_bits: dict[int, int] = {}
+        self._runs: tuple[array, array] | None = None
 
     @classmethod
     def from_values(cls, name: str, values: Sequence[Any], numeric: bool) -> "FeatureColumn":
@@ -228,6 +224,23 @@ class FeatureColumn:
             self._code_bits[code] = bits
         return bits
 
+    def runs(self) -> tuple[array, array]:
+        """The presorted order's runs of equal values (built on first use).
+
+        ``(values, bounds)``: each run's value, ascending, and the run
+        boundaries in :attr:`order` (run ``i`` spans ``bounds[i]`` to
+        ``bounds[i + 1]``).  Racing readers build equal arrays, so either
+        assignment is correct.
+        """
+        if self._runs is None:
+            values = list(map(self.floats.__getitem__, self.order))
+            bounds = array("l", compress(range(len(values)),
+                                         map(ne, values, chain((None,), values))))
+            run_values = array("d", map(values.__getitem__, bounds))
+            bounds.append(len(values))
+            self._runs = (run_values, bounds)
+        return self._runs
+
     def __len__(self) -> int:
         return len(self.raw)
 
@@ -315,15 +328,16 @@ class MatrixView:
     """An index subset of a :class:`FeatureMatrix`.
 
     Views cache, per numeric feature, the subset's row order — produced by
-    stably filtering either the parent view's order (when narrowing) or the
+    stably filtering either the parent view's order (when splitting) or the
     column's global order.  No per-node sorting ever happens.  For
-    constrained searches a view also holds its rows as a bitset and, for
-    the label vector it was last searched with, its positive rows; a
-    narrowed view ANDs both down instead of rebuilding them.
+    constrained searches a view instead holds its rows as a bitset and,
+    for the label vector it was last searched with, its positive rows (a
+    narrowed view ANDs both down instead of rebuilding them) and the
+    per-row states its threshold sweeps read.
     """
 
     __slots__ = ("matrix", "indices", "_orders", "_member", "_full", "_bits",
-                 "_labels", "_positive")
+                 "_labels", "_positive", "_states")
 
     def __init__(
         self,
@@ -341,6 +355,7 @@ class MatrixView:
         #: ``(labels, bitset of labels)`` for the labels last searched with.
         self._labels: tuple[bytearray, int] | None = None
         self._positive: int | None = None
+        self._states: bytes | None = None
 
     def __len__(self) -> int:
         return len(self.indices)
@@ -365,9 +380,19 @@ class MatrixView:
         if self._labels is None or self._labels[0] is not labels:
             self._labels = (labels, flags_to_bits(labels))
             self._positive = None
+            self._states = None
         if self._positive is None:
             self._positive = self.member_bits() & self._labels[1]
         return self._positive
+
+    def row_states(self, labels: bytearray) -> bytes:
+        """Per row: ``0`` outside the view, ``1`` for a negative row of the
+        view and ``2`` for a positive one (labels by truthiness)."""
+        self.positive_bits(labels)
+        if self._states is None:
+            states = labels.translate(_LABEL_STATES)
+            self._states = states if self._full else bytes(map(mul, self._membership(), states))
+        return self._states
 
     def order_for(self, feature: str) -> array:
         """The subset's rows in ascending numeric order (stable)."""
@@ -408,19 +433,13 @@ class MatrixView:
             return None
         return _search_constrained(
             column, len(self.indices), required_value, table,
-            self.member_bits(), self.positive_bits(labels),
-            labels, lambda: self.order_for(feature),
+            self.member_bits(), self.positive_bits(labels), self.row_states(labels),
         )
 
     def narrow(self, keep: bytearray) -> "MatrixView":
-        """The sub-view of rows flagged in ``keep`` (orders filtered stably)."""
-        keep_of = keep.__getitem__
-        indices = array("l", compress(self.indices, map(keep_of, self.indices)))
-        orders = {
-            feature: array("l", compress(order, map(keep_of, order)))
-            for feature, order in self._orders.items()
-        }
-        view = MatrixView(self.matrix, indices, orders)
+        """The sub-view of rows flagged in ``keep``, for constrained searches."""
+        indices = array("l", compress(self.indices, map(keep.__getitem__, self.indices)))
+        view = MatrixView(self.matrix, indices)
         if self._bits is not None:
             view._bits = self._bits & flags_to_bits(keep)
             if self._labels is not None:
@@ -490,10 +509,14 @@ def search_column(
     if table is None:
         table = build_xlog2_table(n_total)
     if required_value is not _UNCONSTRAINED:
-        member = index_bits(indices, len(column))
+        flags = bytearray(len(column))
+        for index in indices:
+            flags[index] = 1
+        member = flags_to_bits(flags)
         return _search_constrained(
-            column, n_total, required_value, table,
-            member, member & flags_to_bits(labels), labels, lambda: order,
+            column, n_total, required_value, table, member,
+            member & flags_to_bits(labels),
+            bytes(map(mul, flags, labels.translate(_LABEL_STATES))),
         )
 
     if column.clean:
@@ -615,19 +638,19 @@ def _search_constrained(
     table: Sequence[float],
     member: int,
     positive: int,
-    labels: bytearray,
-    order_of: Callable[[], Sequence[int]],
+    states: bytes,
 ) -> CandidatePredicate | None:
     """The best predicate ``required_value`` satisfies (Algorithm 1's search).
 
     ``member`` and ``positive`` are the searched rows and their positive
-    rows as bitsets, ``n_total`` the number of searched rows.  Only the
-    required value itself can appear in an equality predicate the pair of
-    interest satisfies, so its counts are two ``int.bit_count()`` calls
-    over the column's cached bitset for that value.  Thresholds sweep the
-    searched rows' runs of equal values in ascending order
-    (:func:`_present_runs`, over the presorted ``order_of()``); the
-    required value fixes which side of every midpoint is usable.
+    rows as bitsets, ``states`` the same rows as per-row bytes (see
+    :meth:`MatrixView.row_states`), ``n_total`` the number of searched
+    rows.  Only the required value itself can appear in an equality
+    predicate the pair of interest satisfies, so its counts are two
+    ``int.bit_count()`` calls over the column's cached bitset for that
+    value.  Thresholds sweep the searched rows' runs of equal values in
+    ascending order (:func:`_present_runs`); the required value fixes
+    which side of every midpoint is usable.
 
     The winner carries ``counts`` — its (matching, positive) rows — when
     they are exactly the rows ``satisfied_by`` accepts: always for ``==``
@@ -680,7 +703,7 @@ def _search_constrained(
     # the rows (and positives) of every run before the current one.
     n_below = pos_below = 0
     low = 0.0
-    for high, n_run, pos_run in _present_runs(column, labels, order_of()):
+    for high, n_run, pos_run in _present_runs(column, states):
         if n_below:
             threshold = (low + high) / 2.0
             if required_value <= threshold:
@@ -716,23 +739,21 @@ def _search_constrained(
     return _finalize(column.name, best_operator, best_constant, best_gain, best_counts)
 
 
-def _present_runs(
-    column: FeatureColumn,
-    labels: bytearray,
-    order: Sequence[int],
-) -> Iterator[tuple[float, int, int]]:
+def _present_runs(column: FeatureColumn, states: bytes) -> Iterator[tuple[float, int, int]]:
     """``(value, rows, positive rows)`` of each distinct threshold-eligible
-    value among the searched rows, in ascending order: one C-level pass
-    over the searched rows' presorted ``order`` per list, and a count of
-    the positive flags per run.
+    value among the searched rows, in ascending order.
+
+    One C-level pass reads the searched rows' states (see
+    :meth:`MatrixView.row_states`) in the column's presorted order; each
+    of the column's runs is then counted with ``bytes.count``.
     """
-    values = list(map(column.floats.__getitem__, order))
-    flags = bytes(map(labels.translate(_TRUTH_FLAGS).__getitem__, order))
-    bounds = compress(range(1, len(values)), map(ne, values, islice(values, 1, None)))
-    start = 0
-    for end in chain(bounds, (len(values),) if values else ()):
-        yield values[start], end - start, flags.count(1, start, end)
-        start = end
+    in_order = bytes(map(states.__getitem__, column.order))
+    values, bounds = column.runs()
+    for value, start, end in zip(values, bounds, islice(bounds, 1, None)):
+        pos_run = in_order.count(2, start, end)
+        n_run = in_order.count(1, start, end) + pos_run
+        if n_run:
+            yield value, n_run, pos_run
 
 
 #: Packed per-code counters: positives in the high bits, count in the low.
