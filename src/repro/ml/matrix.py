@@ -494,7 +494,8 @@ def search_column(
     :param column: the encoded feature column.
     :param indices: row indices of the current subset (any order).
     :param order: the subset's threshold-eligible rows in ascending value
-        order (ignored for nominal columns).
+        order (ignored for nominal columns and constrained searches, which
+        sweep the column's own order).
     :param labels: full-length positive-label bitmap (indexed by row id).
     :param required_value: optional constraint — only predicates satisfied
         by this value are considered.
