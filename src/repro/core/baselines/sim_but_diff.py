@@ -7,12 +7,23 @@ a what-if analysis: among the similar pairs that *disagree* with the pair of
 interest on the feature, what fraction performed as expected?  The
 explanation is the conjunction ``feature = <pair's value>`` of the top-w
 scoring features.
+
+Both steps count with row bitsets (Python ints, bit ``i`` for training
+example ``i``).  A feature's agreement with the pair of interest is
+:meth:`TrainingMatrix.equal_bits <repro.core.examples.TrainingMatrix.equal_bits>`,
+a cached bitset on the matrix's encoded columns.  Similarity is a
+bit-sliced threshold counter over the features' non-agreements: a row
+agreeing on ``count`` of ``k`` features is similar when
+``count >= s * k``, that is when it fails to agree on at most
+``k - ceil(s * k)`` of them.  A feature's score is then two
+``int.bit_count()`` calls over the similar rows that disagree with the
+pair.
 """
 
 from __future__ import annotations
 
+import math
 import random
-from operator import add
 
 from repro.core.examples import (
     TrainingExample,
@@ -34,6 +45,7 @@ from repro.core.pxql.query import PXQLQuery
 from repro.core.registry import register_explainer
 from repro.exceptions import ConfigurationError, ExplanationError
 from repro.logs.store import ExecutionLog
+from repro.ml.matrix import flags_to_bits
 
 
 @register_explainer("simbutdiff", override=True)
@@ -126,45 +138,49 @@ class SimButDiffExplainer:
         matrix: TrainingMatrix,
         pair_values: dict,
         is_same_features: list[str],
-    ) -> list[int]:
-        """Rows that agree with the pair of interest on >= s of the features."""
-        if not is_same_features:
-            return list(range(len(matrix)))
-        needed = self.similarity_threshold * len(is_same_features)
-        agreements = [0] * len(matrix)
+    ) -> int:
+        """Rows that agree with the pair of interest on >= s of the
+        features, as a row bitset."""
+        every_row = (1 << len(matrix)) - 1
+        # ``count >= s * k`` holds for an integer count exactly when
+        # ``count >= ceil(s * k)``, with ``s * k`` as the float it is.
+        allowed = len(is_same_features) - math.ceil(
+            self.similarity_threshold * len(is_same_features)
+        )
+        # over[j]: the rows that failed to agree on more than j features so
+        # far (a saturating counter, one bitset per count).
+        over = [0] * (allowed + 1)
         for feature in is_same_features:
-            pair_value = pair_values.get(feature)
-            agree = [
-                value is not None and value == pair_value
-                for value in matrix.values(feature)
-            ]
-            agreements = list(map(add, agreements, agree))
-        return [row for row, count in enumerate(agreements) if count >= needed]
+            missed = every_row & ~matrix.equal_bits(feature, pair_values.get(feature))
+            for count in range(allowed, 0, -1):
+                over[count] |= over[count - 1] & missed
+            over[0] |= missed
+        return every_row & ~over[allowed]
 
     def _feature_scores(
         self,
         matrix: TrainingMatrix,
-        similar: list[int],
+        similar: int,
         pair_values: dict,
         is_same_features: list[str],
     ) -> list[tuple[str, float]]:
         """Per-feature what-if scores over the similar rows, sorted decreasing."""
-        observed = matrix.observed
+        observed = flags_to_bits(matrix.observed)
         scores: list[tuple[str, float]] = []
         for feature in is_same_features:
             pair_value = pair_values.get(feature)
             if pair_value is None:
                 continue
-            values = matrix.values(feature)
-            disagreeing = [
-                row
-                for row in similar
-                if values[row] is not None and values[row] != pair_value
-            ]
-            if not disagreeing:
+            disagreeing = (
+                similar
+                & matrix.present_bits(feature)
+                & ~matrix.equal_bits(feature, pair_value)
+            )
+            n_disagreeing = disagreeing.bit_count()
+            if not n_disagreeing:
                 scores.append((feature, 0.0))
                 continue
-            expected = sum(1 for row in disagreeing if not observed[row])
-            scores.append((feature, expected / len(disagreeing)))
+            expected = n_disagreeing - (disagreeing & observed).bit_count()
+            scores.append((feature, expected / n_disagreeing))
         scores.sort(key=lambda item: (item[1], item[0]), reverse=True)
         return scores

@@ -34,10 +34,11 @@ import random
 import threading
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
-from operator import and_
+from itertools import repeat
+from operator import is_not
 from typing import Iterator, Sequence
 
-from repro.ml.matrix import FeatureColumn, FeatureMatrix
+from repro.ml.matrix import FeatureColumn, FeatureMatrix, flags_to_bits
 
 from repro.core.features import FeatureSchema, FeatureLevel
 from repro.core.pairkernel import (
@@ -501,17 +502,55 @@ class TrainingMatrix(SequenceABC):
         """One pair feature's value per example (``None`` = missing)."""
         return self.matrix.values(name)
 
-    def satisfied(self, predicate: Predicate) -> bytearray:
-        """Per-example flag: the pair satisfies every atom of ``predicate``.
+    def satisfied(self, predicate: Predicate) -> int:
+        """The examples satisfying every atom of ``predicate``, as a row
+        bitset (bit ``i`` for example ``i``).
 
         The columnar twin of ``predicate.evaluate(example.values)``: only
-        the atoms' own features are derived.
+        the atoms' own features are derived.  An ``==`` atom reads
+        :meth:`equal_bits`, a cached bitset on catalog columns; any other
+        atom maps :meth:`~repro.core.pxql.ast.Comparison.evaluate_value`
+        over the feature's values.  The bitsets are ANDed, so a caller
+        counts satisfied examples with ``int.bit_count()``.
         """
-        mask = bytearray(b"\x01") * len(self)
+        bits = (1 << len(self)) - 1
         for atom in predicate.atoms:
-            satisfied = map(atom.evaluate_value, self.values(atom.feature))
-            mask = bytearray(map(and_, mask, satisfied))
-        return mask
+            if atom.operator is Operator.EQ:
+                bits &= self.equal_bits(atom.feature, atom.value)
+            else:
+                values = self.values(atom.feature)
+                bits &= flags_to_bits(bytes(map(atom.evaluate_value, values)))
+        return bits
+
+    def equal_bits(self, feature: str, value: FeatureValue) -> int:
+        """The examples whose ``feature`` value is present and ``== value``,
+        as a row bitset.
+
+        On a catalog feature this is the encoded column's cached bitset of
+        the value's code: codes are assigned under dict equality, the
+        relation ``==`` evaluates, and a NaN constant equals nothing (not
+        even the NaN object it may have been read from).  Features outside
+        the catalog, and unhashable constants, map ``==`` over the values.
+        """
+        matrix = self.matrix
+        if feature in matrix.catalog:
+            column = matrix.column(feature)
+            try:
+                code = column.code_of.get(value, -1)
+            except TypeError:  # unhashable: compared value by value below
+                pass
+            else:
+                return column.code_bits(code) if code >= 0 and value == value else 0
+        equals = Comparison(feature, Operator.EQ, value).evaluate_value
+        return flags_to_bits(bytes(map(equals, self.values(feature))))
+
+    def present_bits(self, feature: str) -> int:
+        """The examples whose ``feature`` value is not missing, as a row
+        bitset (a catalog column's missing rows carry code ``-1``)."""
+        matrix = self.matrix
+        if feature in matrix.catalog:
+            return ((1 << len(self)) - 1) & ~matrix.column(feature).code_bits(-1)
+        return flags_to_bits(bytes(map(is_not, self.values(feature), repeat(None))))
 
     def positive_labels(self, positive_label: Label) -> bytearray:
         """Bitmap of examples carrying ``positive_label``."""

@@ -44,6 +44,7 @@ from repro.core.registry import register_explainer
 from repro.exceptions import ConfigurationError, ExplanationError
 from repro.logs.records import FeatureValue
 from repro.logs.store import ExecutionLog
+from repro.ml.matrix import bits_to_flags
 from repro.ml.ranking import percentile_ranks
 from repro.ml.splits import CandidatePredicate
 
@@ -177,8 +178,9 @@ class PerfXplainExplainer:
             # Freshly constructed examples already satisfy the extension
             # (it is part of ``working_query``); shared ones must be
             # narrowed to the generated ``des'`` context.
+            in_context = encoded.satisfied(despite_extension)
             indices = list(
-                compress(range(len(encoded)), encoded.satisfied(despite_extension))
+                compress(range(len(encoded)), bits_to_flags(in_context, len(encoded)))
             )
         else:
             indices = list(range(len(encoded)))
@@ -420,10 +422,12 @@ class PerfXplainExplainer:
         * ``==`` — value codes are assigned under dict equality, which is
           the same relation ``value == constant`` evaluates for the hashable
           constants the search emits; a NaN constant satisfies nothing.
-        * ``<=`` / ``>`` — exact only on *clean* numeric columns (every
-          present value threshold-eligible: no bools, NaN or mixed types),
-          where the float image ordering is the ordering ``satisfied_by``
-          sees; missing rows are excluded by the eligibility mask.
+        * ``<=`` / ``>`` — exact only on *clean* numeric columns: every
+          present value is threshold-eligible (no bools, NaN or mixed
+          types) and equals its float image (no int beyond 2**53 that
+          shares its image with another), so comparing float images orders
+          the rows exactly as ``satisfied_by`` does; missing rows are
+          excluded by the eligibility mask.
         """
         operator = candidate.operator
         if operator == "==":

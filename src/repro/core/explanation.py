@@ -21,12 +21,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from operator import and_
 from typing import Any, Mapping, Sequence
 
 from repro.core.examples import TrainingMatrix
 from repro.core.pxql.ast import Predicate, TRUE_PREDICATE
 from repro.logs.records import FeatureValue
+from repro.ml.matrix import flags_to_bits
 
 
 @dataclass(frozen=True)
@@ -206,16 +206,19 @@ def _tally(
     where *in context* means satisfying ``despite`` and *matching* means
     satisfying ``despite`` and ``because``.  Only the two clauses' own
     pair features are read, so a training matrix derives nothing else.
+    Each clause is a row bitset (:meth:`TrainingMatrix.satisfied
+    <repro.core.examples.TrainingMatrix.satisfied>`), and each count is one
+    ``int.bit_count()`` of an AND with the observed examples' bitset.
     """
     matrix = TrainingMatrix.of(examples)
     in_context = matrix.satisfied(despite)
-    matching = bytearray(map(and_, in_context, matrix.satisfied(because)))
-    observed = matrix.observed
+    matching = in_context & matrix.satisfied(because)
+    observed = flags_to_bits(matrix.observed)
     return (
-        sum(in_context),
-        sum(map(and_, in_context, observed)),
-        sum(matching),
-        sum(map(and_, matching, observed)),
+        in_context.bit_count(),
+        (in_context & observed).bit_count(),
+        matching.bit_count(),
+        (matching & observed).bit_count(),
     )
 
 

@@ -9,8 +9,8 @@ clause growth, RReliefF) operate on **index subsets** of that encoding:
 * :class:`FeatureColumn` — one feature's values encoded as integer codes
   (for equality counting), a ``float`` array plus validity mask (for
   threshold sweeps), **one global stable sort of the numeric order**, the
-  runs of equal values in that order, and a row bitset per value code it
-  has been asked about;
+  runs of equal values in that order, a C-level gather into that order,
+  and a row bitset per value code it has been asked about;
 * :class:`FeatureMatrix` — the per-feature columns of a dataset plus row
   count;
 * :class:`MatrixView` — an index subset of a matrix.  Splitting a view
@@ -25,12 +25,17 @@ The two kinds of search count differently.  A **constrained** search (the
 explainer's Algorithm 1: only predicates the pair of interest satisfies)
 needs one equality candidate, so it counts that code's rows as
 ``int.bit_count()`` of the view's bitsets ANDed with the code's bitset, and
-sweeps thresholds over the column's presorted order run by run, counting
-the view's rows and positive rows in each run with one C-level pass.  An
+sweeps thresholds over the column's presorted order run by run: the
+column's cached ``operator.itemgetter`` gathers the view's per-row states
+(outside, negative, positive) into that order in one C-level call, and
+``bytes.count`` counts each run's rows and positive rows.  An
 **unconstrained** search (decision-tree splits) considers every value, so
-it keeps the per-code counting loop, and the fused single pass for clean
-numeric columns.  Bitsets are plain Python ints: bit ``i`` stands for row
-``i``.
+it keeps the per-code counting loop, and the fused single pass for
+*clean* numeric columns: every present value is threshold-eligible and
+equal to its float image, so the presorted order's runs are exactly the
+equality classes (an int beyond ``2**53`` may share its float image with
+another int, which makes its column not clean).  Bitsets are plain Python
+ints: bit ``i`` stands for row ``i``.
 
 Missing values (``None``) carry code ``-1`` and are excluded from the
 numeric order; at evaluation time they never *satisfy* any predicate,
@@ -52,7 +57,7 @@ from __future__ import annotations
 import math
 from array import array
 from itertools import accumulate, chain, compress, islice
-from operator import mul, ne
+from operator import itemgetter, mul, ne
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from repro.ml.splits import (
@@ -72,6 +77,8 @@ _FLAG_DIGITS = b"0" + b"1" * 255
 #: Per-row label byte -> the row's state inside a view: ``1`` negative,
 #: ``2`` positive, by truthiness (rows outside the view are ``0``).
 _LABEL_STATES = b"\x01" + b"\x02" * 255
+#: Binary digit -> per-row flag byte (the inverse of ``_FLAG_DIGITS``).
+_DIGIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def flags_to_bits(flags: bytes | bytearray) -> int:
@@ -82,12 +89,20 @@ def flags_to_bits(flags: bytes | bytearray) -> int:
     return int(flags.translate(_FLAG_DIGITS)[::-1], 2)
 
 
+def bits_to_flags(bits: int, n_rows: int) -> bytes:
+    """The per-row flag vector of a bitset over ``n_rows`` rows: byte ``i``
+    is ``1`` where bit ``i`` is set."""
+    if not n_rows:
+        return b""
+    return format(bits, f"0{n_rows}b").encode("ascii")[::-1].translate(_DIGIT_FLAGS)
+
+
 class FeatureColumn:
     """One feature's values, encoded once for repeated subset searches."""
 
     __slots__ = ("name", "numeric", "raw", "floats", "numeric_ok", "order",
                  "clean", "_codes", "_code_of", "_eq_values", "_eq_rank",
-                 "_canonical_codes", "_code_bits", "_runs")
+                 "_canonical_codes", "_code_bits", "_runs", "_order_getter")
 
     def __init__(self, name: str, numeric: bool) -> None:
         self.name = name
@@ -97,12 +112,16 @@ class FeatureColumn:
         self.floats: array = array("d")
         #: Per-row flag: value participates in threshold candidates.
         self.numeric_ok: bytearray = bytearray()
-        #: Row indices with ``numeric_ok`` set, stably sorted by value.
-        self.order: array = array("l")
+        #: Row indices with ``numeric_ok`` set, stably sorted by value: an
+        #: ``array`` until :meth:`order_getter` replaces it with the tuple
+        #: its getter gathers by.
+        self.order: Sequence[int] = array("l")
         #: A numeric column is *clean* when every present value is
-        #: threshold-eligible: equality buckets then coincide with the
-        #: sorted order's runs, enabling the fused fast path (which never
-        #: touches the lazily-built code tables below).
+        #: threshold-eligible and equal to its float image (an int beyond
+        #: 2**53 may share its image with another int): equality buckets
+        #: then coincide with the sorted order's runs, enabling the fused
+        #: fast path (which never touches the lazily-built code tables
+        #: below).
         self.clean: bool = False
         self._codes: array | None = None
         self._code_of: dict[Any, int] | None = None
@@ -111,6 +130,7 @@ class FeatureColumn:
         self._canonical_codes: list[int] | None = None
         self._code_bits: dict[int, int] = {}
         self._runs: tuple[array, array] | None = None
+        self._order_getter: itemgetter | None = None
 
     @classmethod
     def from_values(cls, name: str, values: Sequence[Any], numeric: bool) -> "FeatureColumn":
@@ -123,6 +143,7 @@ class FeatureColumn:
             floats = array("d", bytes(8 * n))
             ok = bytearray(n)
             missing = 0
+            inexact = False
             for index, value in enumerate(raw):
                 # Exact-type fast paths for the overwhelmingly common cases;
                 # the fallback preserves the isinstance/bool/NaN semantics
@@ -133,8 +154,11 @@ class FeatureColumn:
                         floats[index] = value
                         ok[index] = 1
                 elif kind is int:
-                    floats[index] = float(value)
+                    as_float = float(value)
+                    floats[index] = as_float
                     ok[index] = 1
+                    if as_float != value:
+                        inexact = True
                 elif value is None:
                     missing += 1
                 elif isinstance(value, (int, float)) and not isinstance(value, bool):
@@ -142,12 +166,14 @@ class FeatureColumn:
                     if not math.isnan(as_float):
                         floats[index] = as_float
                         ok[index] = 1
+                        if as_float != value:
+                            inexact = True
             column.floats = floats
             column.numeric_ok = ok
             column.order = array(
                 "l", sorted(compress(range(n), ok), key=floats.__getitem__)
             )
-            column.clean = len(column.order) == n - missing
+            column.clean = not inexact and len(column.order) == n - missing
         return column
 
     def _encode_values(self) -> None:
@@ -241,6 +267,27 @@ class FeatureColumn:
             self._runs = (run_values, bounds)
         return self._runs
 
+    def order_getter(self, rows: Sequence[int]) -> itemgetter:
+        """A C-level gather of a per-row sequence in :attr:`order`'s row
+        order (built on first use).
+
+        ``rows[i]`` supplies the int object for row ``i``: the columns of one
+        matrix pass its :attr:`FeatureMatrix.row_indices`, so their getters
+        share one set of index ints.  ``itemgetter(*order)`` keeps the
+        ``order`` tuple itself as its items, so the column then reads its
+        order from that tuple and drops the array: the gather costs no
+        second copy of the order.  Needs at least two ordered rows
+        (``itemgetter`` returns a bare item for one index).  Racing readers
+        build equal tuples and getters, so either assignment is correct.
+        """
+        getter = self._order_getter
+        if getter is None:
+            order = tuple(map(rows.__getitem__, self.order))
+            getter = itemgetter(*order)
+            self.order = order
+            self._order_getter = getter
+        return getter
+
     def __len__(self) -> int:
         return len(self.raw)
 
@@ -248,12 +295,13 @@ class FeatureColumn:
 class FeatureMatrix:
     """A dataset encoded column-by-column for index-subset training."""
 
-    __slots__ = ("columns", "n_rows", "_gain_table")
+    __slots__ = ("columns", "n_rows", "_gain_table", "_row_indices")
 
     def __init__(self, columns: dict[str, FeatureColumn], n_rows: int) -> None:
         self.columns = columns
         self.n_rows = n_rows
         self._gain_table: list[float] | None = None
+        self._row_indices: tuple[int, ...] | None = None
 
     @classmethod
     def from_rows(
@@ -317,6 +365,14 @@ class FeatureMatrix:
             self._gain_table = build_xlog2_table(self.n_rows)
         return self._gain_table
 
+    @property
+    def row_indices(self) -> tuple[int, ...]:
+        """``0 .. n_rows - 1`` as one tuple, shared by every column's
+        :meth:`~FeatureColumn.order_getter`."""
+        if self._row_indices is None:
+            self._row_indices = tuple(range(self.n_rows))
+        return self._row_indices
+
     def view(self, indices: Iterable[int] | None = None) -> "MatrixView":
         """A view over a subset of rows (all rows when ``indices`` is None)."""
         if indices is None:
@@ -343,12 +399,12 @@ class MatrixView:
         self,
         matrix: FeatureMatrix,
         indices: array,
-        orders: dict[str, array] | None = None,
+        orders: dict[str, Sequence[int]] | None = None,
         full: bool = False,
     ) -> None:
         self.matrix = matrix
         self.indices = indices
-        self._orders: dict[str, array] = orders if orders is not None else {}
+        self._orders: dict[str, Sequence[int]] = orders if orders is not None else {}
         self._member: bytearray | None = None
         self._full = full
         self._bits: int | None = None
@@ -394,7 +450,7 @@ class MatrixView:
             self._states = states if self._full else bytes(map(mul, self._membership(), states))
         return self._states
 
-    def order_for(self, feature: str) -> array:
+    def order_for(self, feature: str) -> Sequence[int]:
         """The subset's rows in ascending numeric order (stable)."""
         cached = self._orders.get(feature)
         if cached is None:
@@ -434,6 +490,7 @@ class MatrixView:
         return _search_constrained(
             column, len(self.indices), required_value, table,
             self.member_bits(), self.positive_bits(labels), self.row_states(labels),
+            self.matrix.row_indices,
         )
 
     def narrow(self, keep: bytearray) -> "MatrixView":
@@ -518,6 +575,7 @@ def search_column(
             column, n_total, required_value, table, member,
             member & flags_to_bits(labels),
             bytes(map(mul, flags, labels.translate(_LABEL_STATES))),
+            range(len(column)),
         )
 
     if column.clean:
@@ -640,13 +698,15 @@ def _search_constrained(
     member: int,
     positive: int,
     states: bytes,
+    rows: Sequence[int],
 ) -> CandidatePredicate | None:
     """The best predicate ``required_value`` satisfies (Algorithm 1's search).
 
     ``member`` and ``positive`` are the searched rows and their positive
     rows as bitsets, ``states`` the same rows as per-row bytes (see
     :meth:`MatrixView.row_states`), ``n_total`` the number of searched
-    rows.  Only the required value itself can appear in an equality
+    rows, ``rows`` the row-index ints the column's order gather is built
+    from (see :meth:`FeatureColumn.order_getter`).  Only the required value itself can appear in an equality
     predicate the pair of interest satisfies, so its counts are two
     ``int.bit_count()`` calls over the column's cached bitset for that
     value.  Thresholds sweep the searched rows' runs of equal values in
@@ -704,7 +764,7 @@ def _search_constrained(
     # the rows (and positives) of every run before the current one.
     n_below = pos_below = 0
     low = 0.0
-    for high, n_run, pos_run in _present_runs(column, states):
+    for high, n_run, pos_run in _present_runs(column, states, rows):
         if n_below:
             threshold = (low + high) / 2.0
             if required_value <= threshold:
@@ -740,15 +800,21 @@ def _search_constrained(
     return _finalize(column.name, best_operator, best_constant, best_gain, best_counts)
 
 
-def _present_runs(column: FeatureColumn, states: bytes) -> Iterator[tuple[float, int, int]]:
+def _present_runs(
+    column: FeatureColumn, states: bytes, rows: Sequence[int]
+) -> Iterator[tuple[float, int, int]]:
     """``(value, rows, positive rows)`` of each distinct threshold-eligible
     value among the searched rows, in ascending order.
 
-    One C-level pass reads the searched rows' states (see
-    :meth:`MatrixView.row_states`) in the column's presorted order; each
-    of the column's runs is then counted with ``bytes.count``.
+    The column's cached ``itemgetter`` (:meth:`FeatureColumn.order_getter`)
+    gathers the searched rows' states (see :meth:`MatrixView.row_states`)
+    in the column's presorted order at C level; each of the column's runs
+    is then counted with ``bytes.count``.  A column with fewer than two
+    eligible rows has no midpoint, so it yields nothing.
     """
-    in_order = bytes(map(states.__getitem__, column.order))
+    if len(column.order) < 2:
+        return
+    in_order = bytes(column.order_getter(rows)(states))
     values, bounds = column.runs()
     for value, start, end in zip(values, bounds, islice(bounds, 1, None)):
         pos_run = in_order.count(2, start, end)

@@ -24,6 +24,7 @@ import pytest
 from test_pair_pipeline_equivalence import _columns_equal, random_log
 
 from repro.core.api import PerfXplainSession
+from repro.core.baselines import SimButDiffExplainer
 from repro.core.examples import construct_training_matrix
 from repro.core.explainer import PerfXplainExplainer
 from repro.core.features import infer_schema
@@ -87,8 +88,9 @@ def test_racing_readers_derive_each_raw_feature_once(derivations):
     """Racing column readers and explanations over one cold matrix.
 
     Besides reading columns, every reader explains a query from the shared
-    matrix, so the columns' lazily built codes and bitsets are filled by
-    racing threads too; every answer must equal the serial one.
+    matrix with PerfXplain and with SimButDiff, so the columns' lazily
+    built codes, value bitsets and order gathers are filled by racing
+    threads too; every answer must equal the serial one.
     """
     log = random_log(5)
     schema = infer_schema(log.jobs)
@@ -99,10 +101,10 @@ def test_racing_readers_derive_each_raw_feature_once(derivations):
         return construct_training_matrix(log, query, schema, rng=random.Random(5))
 
     def explain(matrix) -> str:
-        explanation = PerfXplainExplainer().explain(
-            log, bound, schema=schema, width=3, examples=matrix
+        return "\n".join(
+            technique().explain(log, bound, schema=schema, width=3, examples=matrix).to_json()
+            for technique in (PerfXplainExplainer, SimButDiffExplainer)
         )
-        return explanation.to_json()
 
     serial = cold_matrix()
     features = list(serial.matrix.features)

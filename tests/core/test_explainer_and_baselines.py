@@ -13,6 +13,8 @@ from repro.core.pairs import IS_SAME_SUFFIX, compute_pair_features, raw_feature_
 from repro.core.pxql.parser import parse_predicate
 from repro.core.queries import why_slower_despite_same_num_instances
 from repro.exceptions import ConfigurationError, ExplanationError
+from repro.ml.matrix import FeatureColumn
+from repro.ml.splits import CandidatePredicate
 
 
 class TestPerfXplainConfig:
@@ -125,6 +127,21 @@ class TestPerfXplainExplainer:
             small_log, job_query, schema=job_schema, width=3
         )
         assert str(first.because) == str(second.because)
+
+    def test_threshold_recount_matches_satisfied_by_beyond_2_53(self):
+        # 2**53 + 1 rounds onto 2**53's float image, so a threshold between
+        # the images must not be recounted over them.
+        values = [2**53, 2**53 + 1, 2**53 + 2, 2**53 + 4, 2**53 + 1, 2**53]
+        column = FeatureColumn.from_values("big", values, numeric=True)
+        rows = list(range(len(values)))
+        for threshold in (9007199254740992.0, 9007199254740993.0, 9007199254740994.5):
+            for operator in ("<=", ">"):
+                candidate = CandidatePredicate("big", operator, threshold, 0.0)
+                flags = PerfXplainExplainer._satisfied_flags(candidate, column, rows)
+                if flags is not None:
+                    assert [int(flag) for flag in flags] == [
+                        int(candidate.satisfied_by(value)) for value in values
+                    ]
 
 
 class TestRuleOfThumb:

@@ -1,14 +1,22 @@
-"""Tests for explanations, metrics, training examples and sampling."""
+"""Tests for explanations, metrics, training examples and sampling.
+
+``TestBitsetCounts`` also checks the row-bitset counts behind the metrics
+and behind SimButDiff against the row-walking references in
+:mod:`tests.oracles.metricref`.
+"""
 
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.baselines import SimButDiffExplainer
 from repro.core.examples import (
     Label,
     TrainingExample,
+    TrainingMatrix,
     construct_training_examples,
+    construct_training_matrix,
     find_record,
     iter_related_pairs,
     records_for_query,
@@ -16,16 +24,26 @@ from repro.core.examples import (
 from repro.core.explanation import (
     Explanation,
     ExplanationMetrics,
+    _tally,
     evaluate_explanation,
     generality_of,
     precision_of,
     relevance_of,
 )
+from repro.core.pairs import IS_SAME_SUFFIX, compute_pair_features
 from repro.core.pxql.ast import Comparison, Operator, Predicate, TRUE_PREDICATE
 from repro.core.pxql.parser import parse_predicate
 from repro.core.queries import why_last_task_faster, why_slower_despite_same_num_instances
 from repro.core.sampling import balanced_sample, class_counts
 from repro.exceptions import ExplanationError
+from repro.ml.matrix import bits_to_flags
+
+from tests.oracles.metricref import (
+    feature_scores_reference,
+    satisfied_reference,
+    similar_examples_reference,
+    tally_reference,
+)
 
 
 def example(label: Label, **values) -> TrainingExample:
@@ -113,6 +131,132 @@ class TestMetricEstimation:
         observed = sum(1 for ex in examples if ex.is_observed)
         assert metrics.precision == pytest.approx(observed / len(examples))
         assert metrics.generality == pytest.approx(1.0)
+
+
+#: One NaN object shared by every row that draws it (so the column's code
+#: table holds it as a key), beside a fresh NaN constant in some atoms.
+NAN = float("nan")
+#: ``isSame``-style values, missing ones included.
+SAME_POOL = ["T", "F", "F", None]
+#: A numeric column mixing floats, ints, bools, NaN and a string.
+MIXED_POOL = [0.5, 2.0, 2.0, 1, True, False, NAN, "2.0", None]
+#: ``1``, ``1.0`` and ``True`` are one dict-equality class.
+ONES_POOL = [1, 1.0, True, "1", "2", None]
+#: Similarity thresholds; ``0.7 * 10`` is ``7.000000000000001`` in floating
+#: point, so a row then needs 8 agreements of 10.
+SIMILARITY_THRESHOLDS = [0.1, 0.3, 0.5, 0.7, 0.9, 1.0]
+SAME_FEATURES = [f"s{index}{IS_SAME_SUFFIX}" for index in range(10)]
+
+
+def count_examples(seed: int) -> tuple[list[TrainingExample], dict[str, bool]]:
+    """Random labeled examples and the catalog they are encoded under.
+
+    ``outside`` is carried by the examples but is not in the catalog;
+    ``absent`` appears in atoms only.
+    """
+    rng = random.Random(seed)
+    examples = []
+    for _ in range(rng.randint(1, 70)):
+        values = {feature: rng.choice(SAME_POOL) for feature in SAME_FEATURES}
+        values.update(
+            mixed=rng.choice(MIXED_POOL),
+            ones=rng.choice(ONES_POOL),
+            clean=rng.choice([1.0, 2.5, 4, 4.0, None]),
+            outside=rng.choice(["x", "y", 3, None]),
+        )
+        examples.append(example(rng.choice([Label.OBSERVED, Label.EXPECTED]), **values))
+    catalog = {feature: False for feature in SAME_FEATURES}
+    catalog.update(mixed=True, ones=False, clean=True)
+    return examples, catalog
+
+
+def count_atoms(examples: list[TrainingExample]) -> list[Comparison]:
+    """Equality atoms on every stored value and on values no row stores,
+    and threshold and inequality atoms, on every feature."""
+    features = SAME_FEATURES + ["mixed", "ones", "clean", "outside", "absent"]
+    atoms = []
+    for feature in features:
+        stored = {id(value): value for ex in examples
+                  if (value := ex.values.get(feature)) is not None}
+        for value in [*stored.values(), None, float("nan"), "never", [1]]:
+            atoms.append(Comparison(feature, Operator.EQ, value))
+        for value in ["F", 2.0, 1]:
+            atoms.append(Comparison(feature, Operator.NE, value))
+        for operator in (Operator.LE, Operator.GT, Operator.LT, Operator.GE):
+            for value in (1, 2.0, 0.75, "2.0"):
+                atoms.append(Comparison(feature, operator, value))
+    return atoms
+
+
+class TestBitsetCounts:
+    """Row bitsets count exactly what the row-walking references count."""
+
+    @staticmethod
+    def matrices(seed: int) -> list[TrainingMatrix]:
+        examples, catalog = count_examples(seed)
+        return [TrainingMatrix.of(examples), TrainingMatrix.from_examples(examples, catalog)]
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_satisfied_and_tally_match_the_row_walk(self, seed):
+        rng = random.Random(seed + 100)
+        for matrix in self.matrices(seed):
+            atoms = count_atoms(matrix.examples)
+            predicates = [Predicate.of(atom) for atom in atoms] + [
+                Predicate.conjunction(rng.sample(atoms, rng.randint(2, 3)))
+                for _ in range(40)
+            ]
+            for predicate in predicates:
+                assert bits_to_flags(matrix.satisfied(predicate), len(matrix)) == bytes(
+                    satisfied_reference(matrix, predicate)
+                ), predicate
+            for _ in range(40):
+                despite = rng.choice(predicates + [TRUE_PREDICATE])
+                because = rng.choice(predicates + [TRUE_PREDICATE])
+                assert _tally(despite, because, matrix) == tally_reference(
+                    despite, because, matrix
+                )
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_similarity_and_scores_match_the_row_walk(self, seed):
+        rng = random.Random(seed + 200)
+        for matrix in self.matrices(seed):
+            for threshold in SIMILARITY_THRESHOLDS:
+                explainer = SimButDiffExplainer(similarity_threshold=threshold)
+                for k in range(len(SAME_FEATURES) + 1):
+                    features = sorted(rng.sample(SAME_FEATURES, k))
+                    pair_values = {feature: rng.choice(["T", "F", None])
+                                   for feature in SAME_FEATURES}
+                    similar = explainer._similar_examples(matrix, pair_values, features)
+                    rows = similar_examples_reference(threshold, matrix, pair_values, features)
+                    flags = bits_to_flags(similar, len(matrix))
+                    assert [row for row, flag in enumerate(flags) if flag] == rows
+                    assert explainer._feature_scores(
+                        matrix, similar, pair_values, features
+                    ) == feature_scores_reference(matrix, rows, pair_values, features)
+
+    def test_kernel_matrix_counts_match_the_row_walk(self, small_log, job_schema, job_query):
+        matrix = construct_training_matrix(
+            small_log, job_query, job_schema, sample_size=300, rng=random.Random(0)
+        )
+        first = small_log.find_job(job_query.first_id)
+        second = small_log.find_job(job_query.second_id)
+        pair_values = compute_pair_features(first, second, job_schema)
+        features = sorted(name for name in pair_values if name.endswith(IS_SAME_SUFFIX))
+        for feature in features + ["blocksize", "numinstances_compare"]:
+            for value in set(matrix.values(feature)) | {pair_values.get(feature)}:
+                predicate = Predicate.of(Comparison(feature, Operator.EQ, value))
+                assert bits_to_flags(matrix.satisfied(predicate), len(matrix)) == bytes(
+                    satisfied_reference(matrix, predicate)
+                )
+        for threshold in SIMILARITY_THRESHOLDS:
+            explainer = SimButDiffExplainer(similarity_threshold=threshold)
+            similar = explainer._similar_examples(matrix, pair_values, features)
+            rows = similar_examples_reference(threshold, matrix, pair_values, features)
+            flags = bits_to_flags(similar, len(matrix))
+            assert [row for row, flag in enumerate(flags) if flag] == rows
+            assert explainer._feature_scores(
+                matrix, similar, pair_values, features
+            ) == feature_scores_reference(matrix, rows, pair_values, features)
 
 
 class TestBalancedSampling:

@@ -71,9 +71,14 @@ def edge_dataset(seed: int) -> tuple[list[dict], list[bool], dict[str, bool]]:
     * ``e_ones`` — ``1``, ``1.0``, ``True`` and ``"1"`` in one nominal
       column (the first three are one dict-equality class);
     * ``e_gt`` — a numeric column whose best constrained threshold is a
-      ``>`` that the labels favour, beside missing rows.
+      ``>`` that the labels favour, beside missing rows;
+    * ``e_bigint`` — ints beyond ``2**53``, where ``2**53`` and
+      ``2**53 + 1`` share one float image but are two equality classes
+      (drawn from a generator of its own, so the other columns keep the
+      data they had before it was added).
     """
     rng = random.Random(seed)
+    bigint_rng = random.Random(f"bigint:{seed}")
     n = rng.randint(6, 60)
     rows: list[dict] = []
     labels: list[bool] = []
@@ -85,14 +90,22 @@ def edge_dataset(seed: int) -> tuple[list[dict], list[bool], dict[str, bool]]:
             "e_mixed": rng.choice([True, False, float("nan"), 0.5, 2.0, 1, None]),
             "e_ones": rng.choice([1, 1.0, True, "1", "2", None]),
             "e_gt": high,
+            "e_bigint": bigint_rng.choice([2**53 + k for k in (0, 1, 1, 2, 4)] + [None]),
         })
         favoured = high is not None and high >= 3.0
         labels.append(favoured if rng.random() < 0.8 else not favoured)
     numeric = {
         "e_ulp": True, "e_huge": True, "e_mixed": True, "e_ones": False,
-        "e_gt": True,
+        "e_gt": True, "e_bigint": True,
     }
     return rows, labels, numeric
+
+
+#: Every differential dataset: the random ones, ids ``0``-``49``, and the
+#: edge ones, ids ``edge-0``-``edge-49``.
+DATASETS = [
+    pytest.param(random_dataset, seed, id=str(seed)) for seed in DATASET_SEEDS
+] + [pytest.param(edge_dataset, seed, id=f"edge-{seed}") for seed in DATASET_SEEDS]
 
 
 def _assert_counts_exact(candidate, rows, values, labels) -> None:
@@ -119,9 +132,9 @@ def tree_signature(node: DecisionTreeNode | None):
 
 
 class TestSplitSearchEquivalence:
-    @pytest.mark.parametrize("seed", DATASET_SEEDS)
-    def test_unconstrained_splits_identical(self, seed):
-        rows, labels, numeric = random_dataset(seed)
+    @pytest.mark.parametrize("dataset, seed", DATASETS)
+    def test_unconstrained_splits_identical(self, dataset, seed):
+        rows, labels, numeric = dataset(seed)
         for feature, is_numeric in numeric.items():
             values = [row.get(feature) for row in rows]
             columnar = best_predicate_for_feature(
@@ -135,11 +148,7 @@ class TestSplitSearchEquivalence:
                 # Bit-identical gains, not just approximately equal.
                 assert columnar.gain == rowpath.gain
 
-    @pytest.mark.parametrize(
-        "dataset, seed",
-        [pytest.param(random_dataset, seed, id=str(seed)) for seed in DATASET_SEEDS]
-        + [pytest.param(edge_dataset, seed, id=f"edge-{seed}") for seed in DATASET_SEEDS],
-    )
+    @pytest.mark.parametrize("dataset, seed", DATASETS)
     def test_constrained_splits_identical(self, dataset, seed):
         """Constrained search over all rows and over narrowed subsets.
 
@@ -199,9 +208,9 @@ class TestSplitSearchEquivalence:
 
 
 class TestTreeEquivalence:
-    @pytest.mark.parametrize("seed", DATASET_SEEDS)
-    def test_trees_identical(self, seed):
-        rows, labels, numeric = random_dataset(seed)
+    @pytest.mark.parametrize("dataset, seed", DATASETS)
+    def test_trees_identical(self, dataset, seed):
+        rows, labels, numeric = dataset(seed)
         params = dict(max_depth=5, min_samples_split=4, min_gain=1e-6)
         columnar = DecisionTree(**params).fit(rows, labels, numeric=numeric)
         rowpath = RowPathDecisionTree(**params).fit(rows, labels, numeric=numeric)

@@ -11,7 +11,10 @@ identical output and measure its speedup:
   :mod:`repro.core.pairkernel`);
 * :mod:`tests.oracles.engineref` — the processor-sharing simulation loop
   that recomputes every rate at every event (versus the event core of
-  :mod:`repro.cluster.engine`).
+  :mod:`repro.cluster.engine`);
+* :mod:`tests.oracles.metricref` — row-walking satisfied flags, metric
+  counts and SimButDiff similarity and scores (versus the row bitsets of
+  :class:`repro.core.examples.TrainingMatrix`).
 
 Tests import them as ``tests.oracles.<module>``; the repository root is on
 ``sys.path`` through the root ``conftest.py``.  Do not optimise these
