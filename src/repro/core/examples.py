@@ -35,8 +35,8 @@ import threading
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
 from itertools import repeat
-from operator import is_not
-from typing import Iterator, Sequence
+from operator import and_, is_not
+from typing import Any, Iterator, Sequence
 
 from repro.ml.matrix import FeatureColumn, FeatureMatrix, flags_to_bits
 
@@ -290,6 +290,15 @@ def _sampled_index_pairs(
 
 #: Observed flag -> label.
 _LABELS = (Label.EXPECTED, Label.OBSERVED)
+#: Observed flag byte -> expected flag byte.
+_EXPECTED_FLAGS = b"\x01" + b"\x00" * 255
+#: Threshold operator -> the comparison of a float image with the constant.
+_THRESHOLD_TESTS = {
+    Operator.LT: float.__lt__,
+    Operator.LE: float.__le__,
+    Operator.GT: float.__gt__,
+    Operator.GE: float.__ge__,
+}
 
 
 def _pair_feature_owners(schema: FeatureSchema) -> dict[str, str]:
@@ -454,13 +463,23 @@ class TrainingMatrix(SequenceABC):
     when, never changes a value.  :class:`PerfXplainSession` caches one
     ``TrainingMatrix`` per clause signature.
 
+    The matrix also keeps, per positive label, PerfXplain's latest greedy
+    clause growth over it (:attr:`growths`, written by
+    :meth:`~repro.core.explainer.PerfXplainExplainer._grow_clause`): its
+    context, the atoms chosen so far, the rows left after the last one as
+    a bitset, and whether growth stopped early.  A wider request for the
+    same pair resumes it instead of growing again from the whole matrix.
+    Each write replaces a label's whole entry, so racing readers see one
+    growth or another, never a mix; the entry goes with the matrix when a
+    cache evicts or invalidates it.
+
     The object is a read-only :class:`~collections.abc.Sequence` of
     :class:`TrainingExample`, so callers written against plain example
     lists accept it unchanged; :meth:`of` wraps such a list the other way
     round (its columns are then read from the example dicts).
     """
 
-    __slots__ = ("matrix", "observed", "encoding")
+    __slots__ = ("matrix", "observed", "encoding", "growths", "_expected")
 
     def __init__(
         self,
@@ -477,6 +496,9 @@ class TrainingMatrix(SequenceABC):
         #: :func:`encode_training_examples` so a matrix encoded for one
         #: configuration is never silently reused under another.
         self.encoding = encoding
+        #: Positive label -> the latest clause growth over this matrix.
+        self.growths: dict[Label, Any] = {}
+        self._expected: bytearray | None = None
 
     @classmethod
     def from_examples(
@@ -508,19 +530,45 @@ class TrainingMatrix(SequenceABC):
 
         The columnar twin of ``predicate.evaluate(example.values)``: only
         the atoms' own features are derived.  An ``==`` atom reads
-        :meth:`equal_bits`, a cached bitset on catalog columns; any other
-        atom maps :meth:`~repro.core.pxql.ast.Comparison.evaluate_value`
-        over the feature's values.  The bitsets are ANDed, so a caller
-        counts satisfied examples with ``int.bit_count()``.
+        :meth:`equal_bits`, a cached bitset on catalog columns; a threshold
+        atom reads :meth:`threshold_bits`; any other atom maps
+        :meth:`~repro.core.pxql.ast.Comparison.evaluate_value` over the
+        feature's values.  The bitsets are ANDed, so a caller counts
+        satisfied examples with ``int.bit_count()``.
         """
         bits = (1 << len(self)) - 1
         for atom in predicate.atoms:
             if atom.operator is Operator.EQ:
                 bits &= self.equal_bits(atom.feature, atom.value)
+            elif atom.operator in _THRESHOLD_TESTS:
+                bits &= self.threshold_bits(atom)
             else:
                 values = self.values(atom.feature)
                 bits &= flags_to_bits(bytes(map(atom.evaluate_value, values)))
         return bits
+
+    def threshold_bits(self, atom: Comparison) -> int:
+        """The examples satisfying one ``<``, ``<=``, ``>`` or ``>=`` atom,
+        as a row bitset.
+
+        On a clean numeric catalog column (every present value is
+        threshold-eligible and equals its float image) and a non-bool
+        ``int`` or ``float`` constant, the column's float images are
+        compared with the constant at C level and masked by its
+        eligibility flags: an image equals its value, and a float compares
+        exactly with an int of any size, so an image satisfies the atom
+        exactly when its value does (a NaN constant satisfies nothing).
+        Every other case maps
+        :meth:`~repro.core.pxql.ast.Comparison.evaluate_value` over the
+        values.
+        """
+        matrix = self.matrix
+        if type(atom.value) in (int, float) and atom.feature in matrix.catalog:
+            column = matrix.column(atom.feature)
+            if column.numeric and column.clean:
+                compare = map(_THRESHOLD_TESTS[atom.operator], column.floats, repeat(atom.value))
+                return flags_to_bits(bytes(map(and_, column.numeric_ok, compare)))
+        return flags_to_bits(bytes(map(atom.evaluate_value, self.values(atom.feature))))
 
     def equal_bits(self, feature: str, value: FeatureValue) -> int:
         """The examples whose ``feature`` value is present and ``== value``,
@@ -553,10 +601,18 @@ class TrainingMatrix(SequenceABC):
         return flags_to_bits(bytes(map(is_not, self.values(feature), repeat(None))))
 
     def positive_labels(self, positive_label: Label) -> bytearray:
-        """Bitmap of examples carrying ``positive_label``."""
+        """Bitmap of examples carrying ``positive_label``.
+
+        The same object on every call (the EXPECTED bitmap is built on
+        first use), so a view that cached the bitset of one call's labels
+        recognises the next call's.  Racing readers build equal bitmaps,
+        so either assignment is correct.
+        """
         if positive_label is Label.OBSERVED:
             return self.observed
-        return bytearray(0 if flag else 1 for flag in self.observed)
+        if self._expected is None:
+            self._expected = self.observed.translate(_EXPECTED_FLAGS)
+        return self._expected
 
     @property
     def examples(self) -> list[TrainingExample]:

@@ -15,6 +15,19 @@ The because clause is grown greedily, one atomic predicate per iteration:
 The despite clause uses the identical procedure with relevance
 ``P(exp | p, X)`` in place of precision (Section 4.2, "Generating the des'
 clause").
+
+Each step only appends to the clause, and what it appends depends only on
+the growth's context and the rows the clause has narrowed to: the pair of
+interest's values, the starting rows, the excluded features, the scoring
+tunables (``score_weight``, ``min_examples``) and the explainer class.  So
+for one context the width-``w`` clause is the first ``w`` atoms of every
+wider one.  A :class:`~repro.core.examples.TrainingMatrix` keeps its latest
+growth per positive label (its ``growths``): a request whose context
+matches takes the first ``w`` atoms when the growth already holds them (or
+stopped early), and otherwise grows on from the stored atoms and rows;
+any other request grows from the empty clause and replaces the stored
+growth.  A widening request for one pair therefore searches each clause
+step once.
 """
 
 from __future__ import annotations
@@ -23,6 +36,7 @@ import random
 from dataclasses import dataclass, field
 from itertools import compress
 from operator import and_
+from typing import NamedTuple
 
 from repro.core.examples import (
     Label,
@@ -57,6 +71,50 @@ _SPLIT_OPERATORS = {
     ">=": Operator.GE,
     ">": Operator.GT,
 }
+
+
+class _Growth(NamedTuple):
+    """One greedy clause growth over a matrix, as the matrix keeps it."""
+
+    #: What the growth depends on besides the matrix and the positive
+    #: label (see :func:`_growth_context`).
+    context: tuple | None
+    #: The atoms chosen so far.
+    clause: Predicate
+    #: The rows satisfying the clause, as a bitset.
+    rows: int
+    #: Whether growth stopped before reaching the width last asked for.
+    stopped: bool
+
+
+def _growth_context(
+    explainer: "PerfXplainExplainer",
+    rows: int,
+    pair_values: dict[str, FeatureValue],
+    exclude_features: frozenset[str],
+) -> tuple | None:
+    """The context a clause growth depends on, or ``None`` when it must
+    not be matched.
+
+    An ``==`` atom cites the pair's value itself, so each pair value is
+    keyed by its type and its ``repr``: ``1``, ``1.0`` and ``True`` differ,
+    and so do ``0.0`` and ``-0.0``.  A NaN value makes the context
+    ``None``: it never matches.
+    """
+    values = []
+    for name, value in pair_values.items():
+        if value != value:
+            return None
+        values.append((name, type(value), repr(value)))
+    config = explainer.config
+    return (
+        type(explainer),
+        config.score_weight,
+        config.min_examples,
+        rows,
+        exclude_features,
+        tuple(values),
+    )
 
 
 @dataclass(frozen=True)
@@ -178,19 +236,16 @@ class PerfXplainExplainer:
             # Freshly constructed examples already satisfy the extension
             # (it is part of ``working_query``); shared ones must be
             # narrowed to the generated ``des'`` context.
-            in_context = encoded.satisfied(despite_extension)
-            indices = list(
-                compress(range(len(encoded)), bits_to_flags(in_context, len(encoded)))
-            )
+            rows = encoded.satisfied(despite_extension)
         else:
-            indices = list(range(len(encoded)))
-        if not indices:
+            rows = (1 << len(encoded)) - 1
+        if not rows:
             raise ExplanationError(
                 "no pair of executions in the log is related to the query; "
                 "cannot generate an explanation"
             )
         because = self._grow_clause(
-            encoded, indices, pair_values, width, positive_label=Label.OBSERVED
+            encoded, rows, pair_values, width, positive_label=Label.OBSERVED
         )
         explanation = Explanation(
             because=because,
@@ -198,7 +253,7 @@ class PerfXplainExplainer:
             technique=self.name,
         )
         # The metrics' context is the rows satisfying ``des'``, which are
-        # exactly ``indices`` (all rows when the examples were built for
+        # exactly ``rows`` (all rows when the examples were built for
         # ``working_query``), so they are measured over the whole matrix.
         return explanation.with_metrics(evaluate_explanation(explanation, encoded))
 
@@ -240,9 +295,9 @@ class PerfXplainExplainer:
             )
         encoded = self._encode(examples, schema)
         return self._grow_clause(
-            encoded, list(range(len(encoded))), pair_values, width,
+            encoded, (1 << len(encoded)) - 1, pair_values, width,
             positive_label=Label.EXPECTED,
-            exclude_features=set(query.despite.features()),
+            exclude_features=frozenset(query.despite.features()),
         )
 
     # ------------------------------------------------------------------ #
@@ -269,20 +324,34 @@ class PerfXplainExplainer:
     def _grow_clause(
         self,
         encoded: TrainingMatrix,
-        indices: list[int],
+        rows: int,
         pair_values: dict[str, FeatureValue],
         width: int,
         positive_label: Label,
-        exclude_features: set[str] | None = None,
+        exclude_features: frozenset[str] = frozenset(),
     ) -> Predicate:
+        """Grow a clause of at most ``width`` atoms over ``rows`` (a row
+        bitset), resuming the matrix's latest growth for ``positive_label``
+        when its context matches (see the module docstring)."""
+        context = _growth_context(self, rows, pair_values, exclude_features)
+        growth = encoded.growths.get(positive_label)
+        if context is None or growth is None or growth.context != context:
+            growth = _Growth(context, TRUE_PREDICATE, rows, False)
+        clause = growth.clause
+        if clause.width >= width or growth.stopped:
+            return Predicate(clause.atoms[:max(width, 0)])
+
         matrix = encoded.matrix
         positive = encoded.positive_labels(positive_label)
-        used: set[str] = set(exclude_features or ())
-        clause = TRUE_PREDICATE
-        remaining = list(indices)
+        used = set(exclude_features)
+        used.update(clause.features())
+        remaining = list(
+            compress(range(matrix.n_rows), bits_to_flags(growth.rows, matrix.n_rows))
+        )
         view = matrix.view(None if len(remaining) == matrix.n_rows else remaining)
 
-        for _ in range(width):
+        stopped = True  # unless the loop runs out of width below
+        while clause.width < width:
             if len(remaining) < self.config.min_examples:
                 break
             positives = view.positive_bits(positive).bit_count()
@@ -318,6 +387,12 @@ class PerfXplainExplainer:
             for index in remaining:
                 keep[index] = 1
             view = view.narrow(keep)
+        else:
+            stopped = False
+        if context is not None:
+            encoded.growths[positive_label] = _Growth(
+                context, clause, view.member_bits(), stopped
+            )
         return clause
 
     def _best_predicates(

@@ -87,30 +87,39 @@ def test_a_detector_derives_only_the_features_it_cites(derivations, technique):
 def test_racing_readers_derive_each_raw_feature_once(derivations):
     """Racing column readers and explanations over one cold matrix.
 
-    Besides reading columns, every reader explains a query from the shared
-    matrix with PerfXplain and with SimButDiff, so the columns' lazily
-    built codes, value bitsets and order gathers are filled by racing
-    threads too; every answer must equal the serial one.
+    Besides reading columns, every reader explains one pair from the shared
+    matrix at widths 1-5 (in an order of its own) with PerfXplain and with
+    SimButDiff, calling the explainers directly, with no technique lock.
+    So the columns' lazily built codes, value bitsets and order gathers,
+    and the matrix's stored clause growth, are read and replaced by racing
+    threads too; every answer must equal the one a fresh matrix gives.
     """
     log = random_log(5)
     schema = infer_schema(log.jobs)
     query = parse_query(JOB_QUERY)
     bound = query.with_pair(*find_pair_of_interest(log, query, schema))
+    widths = range(1, 6)
 
     def cold_matrix():
         return construct_training_matrix(log, query, schema, rng=random.Random(5))
 
-    def explain(matrix) -> str:
+    def explain(matrix, width: int) -> str:
         return "\n".join(
-            technique().explain(log, bound, schema=schema, width=3, examples=matrix).to_json()
+            technique().explain(log, bound, schema=schema, width=width, examples=matrix).to_json()
             for technique in (PerfXplainExplainer, SimButDiffExplainer)
         )
+
+    def explain_widths(matrix, offset: int) -> dict[int, str]:
+        order = list(widths)
+        random.Random(offset).shuffle(order)
+        return {width: explain(matrix, width) for width in order}
 
     serial = cold_matrix()
     features = list(serial.matrix.features)
     expected = {feature: serial.matrix.column(feature).raw for feature in features}
-    serial_answer = explain(serial)
+    serial_answer = {widths[0]: explain(serial, widths[0])}
     derived_serially = dict(derivations)
+    serial_answer.update({width: explain(cold_matrix(), width) for width in widths[1:]})
     derivations.clear()
 
     matrix = cold_matrix()
@@ -124,11 +133,11 @@ def test_racing_readers_derive_each_raw_feature_once(derivations):
         try:
             barrier.wait(timeout=30)
             if offset % 2:
-                answers[offset] = explain(matrix)
+                answers[offset] = explain_widths(matrix, offset)
             order = features[offset % len(features):] + features[: offset % len(features)]
             seen[offset] = {feature: matrix.matrix.column(feature).raw for feature in order}
             if not offset % 2:
-                answers[offset] = explain(matrix)
+                answers[offset] = explain_widths(matrix, offset)
         except BaseException as error:  # noqa: BLE001 - reported below
             errors.append(error)
 

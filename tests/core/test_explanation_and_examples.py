@@ -146,15 +146,28 @@ ONES_POOL = [1, 1.0, True, "1", "2", None]
 #: point, so a row then needs 8 agreements of 10.
 SIMILARITY_THRESHOLDS = [0.1, 0.3, 0.5, 0.7, 0.9, 1.0]
 SAME_FEATURES = [f"s{index}{IS_SAME_SUFFIX}" for index in range(10)]
+#: A clean numeric column: ints beyond 2**53 that equal their float image,
+#: ``-0.0`` beside ``0.5`` and ``2.0``.
+WIDE_POOL = [2**53, 2**60, -(2**55), 3, 0.5, -0.0, 2.0, None]
+#: Not clean: ``2**53 + 1`` has no exact float image.
+INEXACT_POOL = [2**53, 2**53 + 1, 7, 1.5, None]
+#: Threshold constants: ints, floats, beyond 2**53, NaN, bools, a string
+#: and ``None``.
+THRESHOLD_CONSTANTS = [
+    1, 2.0, 0.75, 0, -0.0, 2**53, 2**53 + 1, -(2**60), float("nan"),
+    float("inf"), True, False, "2.0", None,
+]
 
 
 def count_examples(seed: int) -> tuple[list[TrainingExample], dict[str, bool]]:
     """Random labeled examples and the catalog they are encoded under.
 
     ``outside`` is carried by the examples but is not in the catalog;
-    ``absent`` appears in atoms only.
+    ``absent`` appears in atoms only.  ``wide`` and ``inexact`` are drawn
+    from a generator of their own, so the other columns keep their data.
     """
     rng = random.Random(seed)
+    extra = random.Random(f"threshold:{seed}")
     examples = []
     for _ in range(rng.randint(1, 70)):
         values = {feature: rng.choice(SAME_POOL) for feature in SAME_FEATURES}
@@ -163,10 +176,12 @@ def count_examples(seed: int) -> tuple[list[TrainingExample], dict[str, bool]]:
             ones=rng.choice(ONES_POOL),
             clean=rng.choice([1.0, 2.5, 4, 4.0, None]),
             outside=rng.choice(["x", "y", 3, None]),
+            wide=extra.choice(WIDE_POOL),
+            inexact=extra.choice(INEXACT_POOL),
         )
         examples.append(example(rng.choice([Label.OBSERVED, Label.EXPECTED]), **values))
     catalog = {feature: False for feature in SAME_FEATURES}
-    catalog.update(mixed=True, ones=False, clean=True)
+    catalog.update(mixed=True, ones=False, clean=True, wide=True, inexact=True)
     return examples, catalog
 
 
@@ -215,6 +230,40 @@ class TestBitsetCounts:
                 assert _tally(despite, because, matrix) == tally_reference(
                     despite, because, matrix
                 )
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_threshold_atoms_match_the_row_walk(self, seed):
+        """Threshold atoms on clean numeric catalog columns compare float
+        images; every other column and constant maps the atom over the
+        values.  Both must count what the row walk counts."""
+        rng = random.Random(seed + 300)
+        features = ["clean", "wide", "inexact", "mixed", "ones", SAME_FEATURES[0],
+                    "outside", "absent"]
+        operators = [Operator.LT, Operator.LE, Operator.GT, Operator.GE]
+        for matrix in self.matrices(seed):
+            if matrix.matrix.catalog:
+                assert matrix.matrix.column("clean").clean
+                assert matrix.matrix.column("wide").clean
+                inexact = 2**53 + 1 in matrix.values("inexact")
+                assert matrix.matrix.column("inexact").clean is not inexact
+            atoms = [
+                Comparison(feature, operator, constant)
+                for feature in features
+                for operator in operators
+                for constant in THRESHOLD_CONSTANTS
+            ]
+            stored = [Comparison(feature, Operator.EQ, value)
+                      for example in matrix.examples
+                      for feature, value in example.values.items()
+                      if value is not None]
+            predicates = [Predicate.of(atom) for atom in atoms] + [
+                Predicate.conjunction(rng.sample(atoms, 2) + rng.sample(stored, 1))
+                for _ in range(40)
+            ]
+            for predicate in predicates:
+                assert bits_to_flags(matrix.satisfied(predicate), len(matrix)) == bytes(
+                    satisfied_reference(matrix, predicate)
+                ), predicate
 
     @pytest.mark.parametrize("seed", range(30))
     def test_similarity_and_scores_match_the_row_walk(self, seed):

@@ -9,7 +9,9 @@ bound to explicit pairs plus their ``?, ?`` variants, widths 0-5,
 ``auto_despite`` off and on, for PerfXplain, SimButDiff and the four rule
 detectors.  A technique that rejects a request (a detector asked for
 ``auto_despite``, a detector of the other entity kind) contributes its
-typed error instead.
+typed error instead.  The session's matrices keep their latest clause
+growth, and a wider request resumes it, so the same document must come
+out when one session answers the requests in reverse or shuffled order.
 
 Any change to an answer -- a predicate, a constant, a metric's last bit --
 shows up as a diff against the golden file, which is the point: an
@@ -22,8 +24,11 @@ deliberately, never accidentally::
 from __future__ import annotations
 
 import json
+import random
 import sys
 from pathlib import Path
+
+import pytest
 
 from repro.core.api import PerfXplainSession
 from repro.exceptions import ReproError
@@ -64,38 +69,57 @@ TECHNIQUES = (
 WIDTHS = range(6)
 
 
-def golden_answers() -> str:
-    """Every answer over the fixture log, rendered as the golden document."""
+def golden_answers(order: str = "forward") -> str:
+    """Every answer over the fixture log, rendered as the golden document.
+
+    One session answers the requests in ``order``: ``"forward"`` (the
+    document's order), ``"reversed"`` or ``"shuffled"``; the document lists
+    them in forward order either way.
+    """
     log, _ = load_execution_log(LOG)
     session = PerfXplainSession(log)
-    answers = []
-    for name, question in QUESTIONS.items():
-        for technique in TECHNIQUES:
-            for auto_despite in (False, True):
-                for width in WIDTHS:
-                    entry = {
-                        "question": name,
-                        "technique": technique,
-                        "auto_despite": auto_despite,
-                        "width": width,
-                    }
-                    try:
-                        explanation = session.explain(
-                            question,
-                            width=width,
-                            technique=technique,
-                            auto_despite=auto_despite,
-                        )
-                    except ReproError as error:
-                        entry["error"] = f"{type(error).__name__}: {error}"
-                    else:
-                        entry["explanation"] = json.loads(explanation.to_json())
-                    answers.append(entry)
+    answers = [
+        {
+            "question": name,
+            "technique": technique,
+            "auto_despite": auto_despite,
+            "width": width,
+        }
+        for name in QUESTIONS
+        for technique in TECHNIQUES
+        for auto_despite in (False, True)
+        for width in WIDTHS
+    ]
+    asked = list(answers)
+    if order == "reversed":
+        asked.reverse()
+    elif order == "shuffled":
+        random.Random(19).shuffle(asked)
+    for entry in asked:
+        try:
+            explanation = session.explain(
+                QUESTIONS[entry["question"]],
+                width=entry["width"],
+                technique=entry["technique"],
+                auto_despite=entry["auto_despite"],
+            )
+        except ReproError as error:
+            entry["error"] = f"{type(error).__name__}: {error}"
+        else:
+            entry["explanation"] = json.loads(explanation.to_json())
     return json.dumps(answers, indent=1) + "\n"
 
 
 def test_explanations_match_the_committed_golden_byte_for_byte():
     assert golden_answers() == GOLDEN.read_text()
+
+
+@pytest.mark.parametrize("order", ["reversed", "shuffled"])
+def test_answer_order_leaves_the_golden_unchanged(order):
+    """Clause growths a session's matrices keep (a wider request resumes
+    the last one) must not let one answer depend on the requests before
+    it: widths asked downward, or in any order, give the same document."""
+    assert golden_answers(order) == GOLDEN.read_text()
 
 
 def test_golden_covers_grown_clauses():
