@@ -81,7 +81,7 @@ class _Growth(NamedTuple):
     context: tuple | None
     #: The atoms chosen so far.
     clause: Predicate
-    #: The rows satisfying the clause, as a bitset.
+    #: The starting rows that satisfy the clause, as a bitset.
     rows: int
     #: Whether growth stopped before reaching the width last asked for.
     stopped: bool

@@ -59,15 +59,15 @@ class CountingExplainer(PerfXplainExplainer):
         return super()._best_predicates(view, positive, pair_values, used)
 
 
-class NoIsSameExplainer(PerfXplainExplainer):
-    """A subclass that never cites an ``isSame`` feature: same config,
-    other clauses."""
+class PickyExplainer(PerfXplainExplainer):
+    """A subclass that never cites an ``isSame`` feature or ``flag``: the
+    same config, other clauses."""
 
     def _best_predicates(self, view, positive, pair_values, used):
         return [
             candidate
             for candidate in super()._best_predicates(view, positive, pair_values, used)
-            if not candidate.feature.endswith(IS_SAME_SUFFIX)
+            if not candidate.feature.endswith(IS_SAME_SUFFIX) and candidate.feature != "flag"
         ]
 
 
@@ -105,7 +105,7 @@ def test_a_shared_matrix_answers_as_a_fresh_one_per_request(log, seed):
         PerfXplainExplainer(),
         PerfXplainExplainer(PerfXplainConfig(score_weight=0.5)),
         PerfXplainExplainer(PerfXplainConfig(min_examples=12)),
-        NoIsSameExplainer(),
+        PickyExplainer(),
     ]
     for step in range(30):
         if step == 0 or rng.random() < 0.4:
@@ -260,7 +260,7 @@ def test_every_context_field_keeps_growths_apart(field):
     other = {
         "score_weight": PerfXplainExplainer(PerfXplainConfig(score_weight=0.0)),
         "min_examples": PerfXplainExplainer(PerfXplainConfig(min_examples=70)),
-        "class": NoFlagExplainer(),
+        "class": PickyExplainer(),
     }.get(field, base)
     kwargs = {
         "rows": {"rows": (1 << 60) - 1},
@@ -272,17 +272,6 @@ def test_every_context_field_keeps_growths_apart(field):
     expected = grow(other, synthetic_matrix(), width=2, **kwargs)
     assert grow(other, matrix, width=2, **kwargs) == expected
     assert text(expected) != text(Predicate(stored.atoms[:2]))
-
-
-class NoFlagExplainer(PerfXplainExplainer):
-    """A subclass that never cites ``flag``."""
-
-    def _best_predicates(self, view, positive, pair_values, used):
-        return [
-            candidate
-            for candidate in super()._best_predicates(view, positive, pair_values, used)
-            if candidate.feature != "flag"
-        ]
 
 
 def test_negative_and_zero_widths_read_an_empty_clause():
