@@ -1,7 +1,8 @@
 """Pair-pipeline throughput: columnar kernels vs the dict reference path.
 
-End-to-end ``construct_training_examples`` on a multi-thousand-task log —
-the dominant cost of answering a fresh clause signature.  The columnar
+End-to-end training examples (``construct_training_matrix(...).examples``)
+on a multi-thousand-task log — the dominant cost of answering a fresh
+clause signature.  The columnar
 pipeline (cached :class:`~repro.logs.chunkstore.RecordBlock`, vectorised clause
 masks over batched candidate index pairs, column-at-a-time feature
 derivation) is measured against the frozen pair-at-a-time dict path of
@@ -26,7 +27,7 @@ import os
 import random
 import time
 
-from repro.core.examples import construct_training_examples
+from repro.core.examples import construct_training_matrix
 from repro.core.features import infer_schema
 from repro.core.queries import why_last_task_faster
 from repro.logs.records import TaskRecord
@@ -82,7 +83,9 @@ def test_columnar_pair_pipeline_beats_dict_path(benchmark, experiment_log):
     reference_seconds = time.perf_counter() - start
 
     def construct_columnar():
-        return construct_training_examples(log, query, schema, rng=random.Random(0))
+        return construct_training_matrix(
+            log, query, schema, rng=random.Random(0)
+        ).examples
 
     kernel_examples = benchmark.pedantic(construct_columnar, rounds=1, iterations=1)
     kernel_seconds = benchmark.stats.stats.mean

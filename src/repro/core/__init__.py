@@ -44,7 +44,6 @@ from repro.core.examples import (
     Label,
     TrainingExample,
     TrainingMatrix,
-    construct_training_examples,
     construct_training_matrix,
     encode_training_examples,
 )
@@ -80,7 +79,6 @@ __all__ = [
     "Label",
     "TrainingExample",
     "TrainingMatrix",
-    "construct_training_examples",
     "construct_training_matrix",
     "encode_training_examples",
     "PerfXplainConfig",

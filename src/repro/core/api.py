@@ -33,12 +33,10 @@ from __future__ import annotations
 import random
 import threading
 import time
-from typing import Sequence
 
 from repro.core.cache import CacheStats, LRUCache
 from repro.core.locks import SingleFlight
 from repro.core.examples import (
-    TrainingExample,
     TrainingMatrix,
     construct_training_matrix,
     find_record,
@@ -130,7 +128,7 @@ class PerfXplain:
         resolved = self.resolve(query)
         schema = self.schema_for(resolved)
         explainer = self.technique(technique)
-        # Build the shared training examples *before* taking the technique
+        # Build the shared training matrix *before* taking the technique
         # lock: matrix construction is the expensive, parallel-friendly
         # work (single-flighted per clause signature in the session), while
         # the dispatch below is serialised per technique instance so
@@ -259,11 +257,11 @@ class PerfXplain:
         """Every registered technique, instantiated, keyed by public name."""
         return {name: self.technique(name) for name in registered_explainers()}
 
-    def _examples_for(self, query: BoundQuery) -> "list[TrainingExample] | TrainingMatrix | None":
-        """Precomputed training examples for a resolved query.
+    def _examples_for(self, query: BoundQuery) -> TrainingMatrix | None:
+        """A precomputed training matrix for a resolved query.
 
         The plain facade computes nothing ahead of time (each technique
-        builds its own examples); :class:`PerfXplainSession` overrides this
+        builds its own matrix); :class:`PerfXplainSession` overrides this
         with a shared per-clause-signature cache of encoded
         :class:`~repro.core.examples.TrainingMatrix` objects.
         """
@@ -324,7 +322,6 @@ class PerfXplainSession(PerfXplain):
         super().__init__(log, config=config, seed=seed)
         self._matrix_cache = LRUCache(cache_capacity)
         self._pair_cache = LRUCache(cache_capacity)
-        self._pair_feature_cache = LRUCache(cache_capacity)
         self._explanation_cache = LRUCache(cache_capacity)
         self._log_snapshot = log.mutation_snapshot()
         self._append_invalidations = 0
@@ -427,15 +424,6 @@ class PerfXplainSession(PerfXplain):
     # shared-state caches
     # ------------------------------------------------------------------ #
 
-    def training_examples(self, query: str | PXQLQuery) -> Sequence[TrainingExample]:
-        """The (cached) training examples for a query's clause signature.
-
-        The cached :class:`~repro.core.examples.TrainingMatrix` itself — a
-        read-only sequence of examples whose feature dicts are built as
-        they are read — so there is exactly one cache to keep coherent.
-        """
-        return self.training_matrix(query)
-
     def training_matrix(self, query: str | PXQLQuery) -> TrainingMatrix:
         """The (cached) columnar encoding of a query's training examples.
 
@@ -497,22 +485,6 @@ class PerfXplainSession(PerfXplain):
             pair = self._flight.do(("pair", key), build)
         return pair
 
-    def pair_features(self, query: str | PXQLQuery) -> dict[str, FeatureValue]:
-        """The pair-feature vector of a query's pair (cached per pair)."""
-        resolved = self.resolve(query)
-        key = (resolved.entity.value, resolved.first_id, resolved.second_id)
-        features = self._pair_feature_cache.get(key)
-        if features is None:
-            parent = super()
-
-            def build() -> dict[str, FeatureValue]:
-                built = parent.pair_features(resolved)
-                self._pair_feature_cache.put(key, built)
-                return built
-
-            features = self._flight.do(("pair_features", key), build)
-        return features
-
     def cache_stats(self) -> dict[str, CacheStats]:
         """Hit/miss/eviction counters for every session cache, by name.
 
@@ -525,11 +497,10 @@ class PerfXplainSession(PerfXplain):
             "explanations": self._explanation_cache.stats(),
             "matrices": self._matrix_cache.stats(),
             "pairs": self._pair_cache.stats(),
-            "pair_features": self._pair_feature_cache.stats(),
             "record_blocks": CacheStats(**self.log.block_cache_stats()),
         }
 
-    def _examples_for(self, query: BoundQuery) -> "list[TrainingExample] | TrainingMatrix | None":
+    def _examples_for(self, query: BoundQuery) -> TrainingMatrix | None:
         return self.training_matrix(query)
 
     # ------------------------------------------------------------------ #
@@ -572,7 +543,6 @@ class PerfXplainSession(PerfXplain):
         self._schemas.pop(kind, None)
         self._matrix_cache.discard_if(lambda key: key[0] == kind)
         self._pair_cache.discard_if(lambda key: key[0] == kind)
-        self._pair_feature_cache.discard_if(lambda key: key[0] == kind)
         self._explanation_cache.discard_if(lambda key: key[0][0] == kind)
         self._append_invalidations += 1
 
@@ -581,7 +551,6 @@ class PerfXplainSession(PerfXplain):
         self._schemas.clear()
         self._matrix_cache.clear()
         self._pair_cache.clear()
-        self._pair_feature_cache.clear()
         self._explanation_cache.clear()
         self._full_invalidations += 1
 

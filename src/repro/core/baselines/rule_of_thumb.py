@@ -11,7 +11,12 @@ from __future__ import annotations
 
 import random
 
-from repro.core.examples import find_record
+from repro.core.examples import (
+    TrainingMatrix,
+    construct_training_matrix,
+    find_record,
+    records_for_query,
+)
 from repro.core.explanation import Explanation, evaluate_explanation
 from repro.core.features import PERFORMANCE_METRIC, FeatureLevel, FeatureSchema, infer_schema
 from repro.core.pairs import (
@@ -22,7 +27,6 @@ from repro.core.pairs import (
 )
 from repro.core.pxql.ast import Comparison, Operator, Predicate, TRUE_PREDICATE
 from repro.core.pxql.query import PXQLQuery
-from repro.core.examples import construct_training_matrix, records_for_query
 from repro.core.registry import register_explainer
 from repro.exceptions import ExplanationError
 from repro.logs.store import ExecutionLog
@@ -86,14 +90,14 @@ class RuleOfThumbExplainer:
         schema: FeatureSchema | None = None,
         width: int | None = None,
         auto_despite: bool = False,
-        examples: list | None = None,
+        examples: TrainingMatrix | None = None,
     ) -> Explanation:
         """Top-``width`` important features the pair disagrees on.
 
         The ``auto_despite`` flag is accepted for interface compatibility but
-        ignored: RuleOfThumb never generates a despite clause.  Precomputed
-        training ``examples`` (from the session layer) are only used to
-        score the explanation's metrics.
+        ignored: RuleOfThumb never generates a despite clause.  A precomputed
+        training matrix ``examples`` (from the session layer) is only used
+        to score the explanation's metrics.
         """
         if not query.has_pair:
             raise ExplanationError("the query must be bound to a pair of interest")

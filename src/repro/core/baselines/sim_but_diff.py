@@ -26,7 +26,6 @@ import math
 import random
 
 from repro.core.examples import (
-    TrainingExample,
     TrainingMatrix,
     construct_training_matrix,
     find_record,
@@ -75,13 +74,13 @@ class SimButDiffExplainer:
         schema: FeatureSchema | None = None,
         width: int | None = None,
         auto_despite: bool = False,
-        examples: "list[TrainingExample] | TrainingMatrix | None" = None,
+        examples: TrainingMatrix | None = None,
     ) -> Explanation:
         """Generate a width-``width`` explanation via Algorithm 2.
 
         ``auto_despite`` is accepted for interface compatibility and ignored.
-        Precomputed training ``examples`` (from the session layer) replace
-        the internal related-pair enumeration.
+        A precomputed training matrix ``examples`` (from the session layer)
+        replaces the internal related-pair enumeration.
         """
         if not query.has_pair:
             raise ExplanationError("the query must be bound to a pair of interest")
@@ -92,14 +91,14 @@ class SimButDiffExplainer:
         second = find_record(log, query, query.second_id)
         pair_values = compute_pair_features(first, second, schema, self.pair_config)
 
-        if examples is None:
-            examples = construct_training_matrix(
+        matrix = examples
+        if matrix is None:
+            matrix = construct_training_matrix(
                 log, query, schema,
                 config=self.pair_config,
                 sample_size=self.sample_size,
                 rng=self._rng,
             )
-        matrix = TrainingMatrix.of(examples)
         is_same_features = sorted(
             name
             for name in pair_values

@@ -21,7 +21,7 @@ import math
 import random
 import statistics
 from dataclasses import dataclass, field
-from typing import Protocol, Sequence
+from typing import Sequence
 
 from operator import and_, gt
 
@@ -39,31 +39,9 @@ from repro.core.pairkernel import PairContext
 from repro.core.pairs import PairFeatureConfig
 from repro.core.pxql.ast import Predicate, TRUE_PREDICATE
 from repro.core.pxql.query import EntityKind, PXQLQuery
+from repro.core.registry import Explainer
 from repro.exceptions import EvaluationError
 from repro.logs.store import ExecutionLog
-
-
-class ExplanationTechnique(Protocol):
-    """The interface every explanation-generation technique exposes.
-
-    This is the same contract as :class:`repro.core.registry.Explainer`
-    (plus the optional ``auto_despite`` keyword); instances obtained from
-    the registry — e.g. via :meth:`repro.core.api.PerfXplain.techniques` —
-    can be passed to every sweep in this module.
-    """
-
-    name: str
-
-    def explain(
-        self,
-        log: ExecutionLog,
-        query: PXQLQuery,
-        schema: FeatureSchema | None = None,
-        width: int | None = None,
-        auto_despite: bool = False,
-    ) -> Explanation:
-        """Generate an explanation for a query bound to a pair of interest."""
-        ...  # pragma: no cover
 
 
 # --------------------------------------------------------------------- #
@@ -257,7 +235,7 @@ def split_for_repetition(
 def evaluate_precision_vs_width(
     log: ExecutionLog,
     query: PXQLQuery,
-    techniques: Sequence[ExplanationTechnique],
+    techniques: Sequence[Explainer],
     widths: Sequence[int] = (0, 1, 2, 3, 4, 5),
     repetitions: int = 10,
     seed: int = 0,
@@ -382,7 +360,7 @@ def relevance_of_user_despite(
 def evaluate_log_fraction(
     log: ExecutionLog,
     query: PXQLQuery,
-    techniques: Sequence[ExplanationTechnique],
+    techniques: Sequence[Explainer],
     fractions: Sequence[float] = (0.1, 0.2, 0.3, 0.4, 0.5),
     width: int = 3,
     repetitions: int = 10,
@@ -470,7 +448,7 @@ def evaluate_cross_workload(
     query: PXQLQuery,
     train_script: str = "simple-groupby.pig",
     test_script: str = "simple-filter.pig",
-    techniques: Sequence[ExplanationTechnique] = (),
+    techniques: Sequence[Explainer] = (),
     widths: Sequence[int] = (0, 1, 2, 3, 4, 5),
     repetitions: int = 10,
     seed: int = 0,

@@ -32,7 +32,6 @@ from __future__ import annotations
 import enum
 import random
 import threading
-from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
 from itertools import repeat
 from operator import and_, is_not
@@ -344,9 +343,8 @@ class _PairFeatureMatrix(FeatureMatrix):
     columns are derived and encoded on first use.
 
     It holds the sampled ``(first, second)`` record indices and the
-    :class:`~repro.core.pairkernel.PairKernel` that filtered them — or,
-    wrapping plain examples, the example list.  :meth:`values` derives a
-    raw feature's Table-1 columns through
+    :class:`~repro.core.pairkernel.PairKernel` that filtered them.
+    :meth:`values` derives a raw feature's Table-1 columns through
     :meth:`~repro.core.pairkernel.PairKernel.derived_columns` the first time
     any of them is read; :meth:`column` encodes a catalog column through
     :meth:`~repro.ml.matrix.FeatureMatrix.from_columns` on first access.
@@ -362,7 +360,6 @@ class _PairFeatureMatrix(FeatureMatrix):
         "firsts",
         "seconds",
         "owners",
-        "listed",
         "_features",
         "_values",
         "_lock",
@@ -371,29 +368,25 @@ class _PairFeatureMatrix(FeatureMatrix):
     def __init__(
         self,
         catalog: dict[str, bool],
-        kernel: PairKernel | None = None,
-        firsts: Sequence[int] = (),
-        seconds: Sequence[int] = (),
-        listed: list[TrainingExample] | None = None,
+        kernel: PairKernel,
+        firsts: Sequence[int],
+        seconds: Sequence[int],
     ) -> None:
-        super().__init__({}, len(listed) if listed is not None else len(firsts))
+        super().__init__({}, len(firsts))
         #: Searchable pair features mapped to "is numeric", in catalog order.
         self.catalog = catalog
         self.kernel = kernel
         self.firsts = firsts
         self.seconds = seconds
-        #: Every derivable pair feature -> its raw feature (kernel-backed).
-        self.owners = _pair_feature_owners(kernel.schema) if kernel is not None else {}
-        self.listed = listed
+        #: Every derivable pair feature -> its raw feature.
+        self.owners = _pair_feature_owners(kernel.schema)
         self._features = tuple(catalog)
         self._values: dict[str, list] = {}
         self._lock = threading.Lock()
 
     def with_catalog(self, catalog: dict[str, bool]) -> "_PairFeatureMatrix":
         """The same sample under another searchable catalog."""
-        return _PairFeatureMatrix(
-            catalog, self.kernel, self.firsts, self.seconds, self.listed
-        )
+        return _PairFeatureMatrix(catalog, self.kernel, self.firsts, self.seconds)
 
     @property
     def features(self) -> tuple[str, ...]:
@@ -425,14 +418,11 @@ class _PairFeatureMatrix(FeatureMatrix):
         values = self._values.get(name)
         if values is not None:
             return values
-        if self.listed is None and name not in self.owners:
+        if name not in self.owners:
             return [None] * self.n_rows
         with self._lock:
             if name not in self._values:
-                if self.listed is not None:
-                    self._values[name] = [ex.values.get(name) for ex in self.listed]
-                else:
-                    self._derive(self.owners[name])
+                self._derive(self.owners[name])
             return self._values[name]
 
     def _derive(self, raw: str) -> None:
@@ -443,7 +433,7 @@ class _PairFeatureMatrix(FeatureMatrix):
                 self._values[name] = values
 
 
-class TrainingMatrix(SequenceABC):
+class TrainingMatrix:
     """A query's sampled training pairs, with pair features derived on demand.
 
     The matrix keeps the sampled ``(first, second)`` record indices, their
@@ -454,8 +444,8 @@ class TrainingMatrix(SequenceABC):
       any of them is read, and keeps them;
     * :attr:`matrix` encodes a catalog column on its first ``column()``
       access, for the greedy clause growth's index-subset searches;
-    * :attr:`examples` (and iteration) builds :class:`TrainingExample`
-      dicts only when asked, and does not keep them.
+    * :attr:`examples` builds :class:`TrainingExample` dicts only when
+      asked, and does not keep them.
 
     A technique thus pays only for the pair features it reads: a detector
     citing one feature derives one raw feature.  Derivation is a pure
@@ -473,10 +463,7 @@ class TrainingMatrix(SequenceABC):
     growth or another, never a mix; the entry goes with the matrix when a
     cache evicts or invalidates it.
 
-    The object is a read-only :class:`~collections.abc.Sequence` of
-    :class:`TrainingExample`, so callers written against plain example
-    lists accept it unchanged; :meth:`of` wraps such a list the other way
-    round (its columns are then read from the example dicts).
+    ``len()`` is the number of examples, so an empty matrix is falsy.
     """
 
     __slots__ = ("matrix", "observed", "encoding", "growths", "_expected")
@@ -485,7 +472,7 @@ class TrainingMatrix(SequenceABC):
         self,
         matrix: _PairFeatureMatrix,
         observed: bytearray,
-        encoding: tuple | None = None,
+        encoding: tuple | None,
     ) -> None:
         #: Columnar encoding of the catalog's pair features (deferred).
         self.matrix = matrix
@@ -499,26 +486,6 @@ class TrainingMatrix(SequenceABC):
         #: Positive label -> the latest clause growth over this matrix.
         self.growths: dict[Label, Any] = {}
         self._expected: bytearray | None = None
-
-    @classmethod
-    def from_examples(
-        cls,
-        examples: Sequence[TrainingExample],
-        catalog: dict[str, bool],
-        encoding: tuple | None = None,
-    ) -> "TrainingMatrix":
-        """A matrix over plain examples: columns are read from their dicts."""
-        listed = list(examples)
-        observed = bytearray(1 if example.is_observed else 0 for example in listed)
-        return cls(_PairFeatureMatrix(catalog, listed=listed), observed, encoding)
-
-    @classmethod
-    def of(cls, examples: Sequence[TrainingExample]) -> "TrainingMatrix":
-        """``examples`` itself if already a matrix, else a catalog-less
-        wrapper — enough for :meth:`values` and :meth:`satisfied`."""
-        if isinstance(examples, TrainingMatrix):
-            return examples
-        return cls.from_examples(examples, {})
 
     def values(self, name: str) -> list:
         """One pair feature's value per example (``None`` = missing)."""
@@ -622,8 +589,6 @@ class TrainingMatrix(SequenceABC):
         are the caller's and are not kept.
         """
         matrix = self.matrix
-        if matrix.listed is not None:
-            return matrix.listed
         names = list(matrix.owners)
         columns = [matrix.values(name) for name in names]
         rows = zip(*columns) if columns else [()] * len(self)
@@ -637,22 +602,6 @@ class TrainingMatrix(SequenceABC):
 
     def __len__(self) -> int:
         return len(self.observed)
-
-    def __getitem__(self, index):
-        matrix = self.matrix
-        if matrix.listed is not None or isinstance(index, slice):
-            return self.examples[index]
-        row = range(len(self))[index]
-        ids = matrix.kernel.block.ids
-        return TrainingExample(
-            ids[matrix.firsts[row]],
-            ids[matrix.seconds[row]],
-            {name: matrix.values(name)[row] for name in matrix.owners},
-            _LABELS[self.observed[row]],
-        )
-
-    def __iter__(self) -> Iterator[TrainingExample]:
-        return iter(self.examples)
 
 
 def construct_training_matrix(
@@ -692,53 +641,23 @@ def construct_training_matrix(
     )
 
 
-def construct_training_examples(
-    log: ExecutionLog,
-    query: PXQLQuery,
-    schema: FeatureSchema,
-    config: PairFeatureConfig | None = None,
-    sample_size: int | None = 2000,
-    rng: random.Random | None = None,
-    max_candidate_pairs: int | None = 2_000_000,
-    workers: int = 1,
-) -> list[TrainingExample]:
-    """The :attr:`~TrainingMatrix.examples` of :func:`construct_training_matrix`.
-
-    Every sampled pair with its full pair-feature vector; techniques read
-    the matrix instead and derive only the features they use.
-    """
-    return construct_training_matrix(
-        log, query, schema,
-        config=config,
-        sample_size=sample_size,
-        rng=rng,
-        max_candidate_pairs=max_candidate_pairs,
-        workers=workers,
-    ).examples
-
-
 def encode_training_examples(
-    examples: Sequence[TrainingExample],
+    matrix: TrainingMatrix,
     schema: FeatureSchema,
     config: PairFeatureConfig | None = None,
     feature_level: FeatureLevel = FeatureLevel.FULL,
 ) -> TrainingMatrix:
-    """Training examples as a :class:`TrainingMatrix` under one catalog.
+    """A training matrix under the catalog of one configuration.
 
     The searchable columns are exactly the pair-feature catalog the
     explainer searches (performance-derived features excluded, level
-    capped at ``feature_level``), in catalog order.  A
-    :class:`TrainingMatrix` built under the same parameters passes through
-    unchanged; one built under others is re-cataloged over the same pairs,
-    so a matrix cached for one configuration never leaks a different
-    feature surface into another.
+    capped at ``feature_level``), in catalog order.  A matrix built under
+    the same parameters passes through unchanged; one built under others
+    is re-cataloged over the same pairs, so a matrix cached for one
+    configuration never leaks a different feature surface into another.
     """
     config = config if config is not None else PairFeatureConfig()
     catalog, encoding = _encoding_of(schema, config, feature_level)
-    if isinstance(examples, TrainingMatrix):
-        if examples.encoding == encoding:
-            return examples
-        return TrainingMatrix(
-            examples.matrix.with_catalog(catalog), examples.observed, encoding
-        )
-    return TrainingMatrix.from_examples(examples, catalog, encoding)
+    if matrix.encoding == encoding:
+        return matrix
+    return TrainingMatrix(matrix.matrix.with_catalog(catalog), matrix.observed, encoding)

@@ -40,7 +40,6 @@ from typing import NamedTuple
 
 from repro.core.examples import (
     Label,
-    TrainingExample,
     TrainingMatrix,
     construct_training_matrix,
     encode_training_examples,
@@ -179,7 +178,7 @@ class PerfXplainExplainer:
         width: int | None = None,
         auto_despite: bool = False,
         despite_width: int | None = None,
-        examples: "list[TrainingExample] | TrainingMatrix | None" = None,
+        examples: TrainingMatrix | None = None,
     ) -> Explanation:
         """Generate an explanation for a query bound to a pair of interest.
 
@@ -190,12 +189,11 @@ class PerfXplainExplainer:
         :param auto_despite: also generate a ``des'`` clause (Section 4.2)
             and use it as additional context for the because clause.
         :param despite_width: width of the generated despite clause.
-        :param examples: precomputed training examples for the query's
-            clauses — a plain list or an already-encoded
-            :class:`~repro.core.examples.TrainingMatrix` (the session layer
-            shares one construction *and* one encoding across many calls).
-            With ``auto_despite`` they are re-filtered by the generated
-            ``des'`` extension.
+        :param examples: a precomputed
+            :class:`~repro.core.examples.TrainingMatrix` for the query's
+            clauses (the session layer shares one construction *and* one
+            encoding across many calls).  With ``auto_despite`` its rows
+            are narrowed by the generated ``des'`` extension.
         """
         if not query.has_pair:
             raise ExplanationError("the query must be bound to a pair of interest")
@@ -264,7 +262,7 @@ class PerfXplainExplainer:
         schema: FeatureSchema | None = None,
         width: int | None = None,
         pair_values: dict[str, FeatureValue] | None = None,
-        examples: "list[TrainingExample] | TrainingMatrix | None" = None,
+        examples: TrainingMatrix | None = None,
     ) -> Predicate:
         """Generate a ``des'`` clause for an (under-specified) query.
 
@@ -304,12 +302,8 @@ class PerfXplainExplainer:
     # the greedy clause-growing loop
     # ------------------------------------------------------------------ #
 
-    def _encode(
-        self,
-        examples: "list[TrainingExample] | TrainingMatrix",
-        schema: FeatureSchema,
-    ) -> TrainingMatrix:
-        """The columnar encoding of a training set under this config.
+    def _encode(self, examples: TrainingMatrix, schema: FeatureSchema) -> TrainingMatrix:
+        """A training matrix under this config's catalog.
 
         Precomputed matrices are reused only when their encoding parameters
         match (:func:`~repro.core.examples.encode_training_examples`

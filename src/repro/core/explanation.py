@@ -12,16 +12,16 @@ measured by:
 * **generality** ``P(bec | des' AND des)`` — how many pairs does the
   because clause apply to at all?
 
-The probabilities are estimated over a collection of labeled training
-examples (pairs already known to satisfy the query's ``des``, labeled
-OBSERVED or EXPECTED).
+The probabilities are estimated over the labeled examples of a
+:class:`~repro.core.examples.TrainingMatrix` (pairs already known to
+satisfy the query's ``des``, labeled OBSERVED or EXPECTED).
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping
 
 from repro.core.examples import TrainingMatrix
 from repro.core.pxql.ast import Predicate, TRUE_PREDICATE
@@ -198,9 +198,9 @@ class Explanation:
 
 
 def _tally(
-    despite: Predicate, because: Predicate, examples: Sequence
+    despite: Predicate, because: Predicate, matrix: TrainingMatrix
 ) -> tuple[int, int, int, int]:
-    """Counts over labeled examples, read column by column.
+    """Counts over a training matrix's examples, read column by column.
 
     Returns (in context, in-context observed, matching, matching observed),
     where *in context* means satisfying ``despite`` and *matching* means
@@ -210,7 +210,6 @@ def _tally(
     <repro.core.examples.TrainingMatrix.satisfied>`), and each count is one
     ``int.bit_count()`` of an AND with the observed examples' bitset.
     """
-    matrix = TrainingMatrix.of(examples)
     in_context = matrix.satisfied(despite)
     matching = in_context & matrix.satisfied(because)
     observed = flags_to_bits(matrix.observed)
@@ -226,32 +225,13 @@ def _share(part: int, whole: int) -> float:
     return part / whole if whole else 0.0
 
 
-def precision_of(because: Predicate, despite: Predicate, examples: Sequence) -> float:
-    """``P(obs | bec AND des')`` over examples already satisfying the query's des."""
-    _, _, matching, matching_observed = _tally(despite, because, examples)
-    return _share(matching_observed, matching)
-
-
-def generality_of(because: Predicate, despite: Predicate, examples: Sequence) -> float:
-    """``P(bec | des')`` over examples already satisfying the query's des."""
-    in_context, _, matching, _ = _tally(despite, because, examples)
-    return _share(matching, in_context)
-
-
-def relevance_of(despite: Predicate, examples: Sequence) -> float:
-    """``P(exp | des')`` over examples already satisfying the query's des."""
-    in_context, in_context_observed, _, _ = _tally(despite, TRUE_PREDICATE, examples)
-    return _share(in_context - in_context_observed, in_context)
-
-
-def evaluate_explanation(explanation: Explanation, examples: Sequence) -> ExplanationMetrics:
-    """All three metrics of an explanation over a labeled example set.
-
-    ``examples`` is a :class:`~repro.core.examples.TrainingMatrix` or any
-    sequence of :class:`~repro.core.examples.TrainingExample`.
-    """
+def evaluate_explanation(
+    explanation: Explanation, matrix: TrainingMatrix
+) -> ExplanationMetrics:
+    """All three metrics of an explanation over a training matrix, whose
+    examples already satisfy the query's despite clause."""
     in_context, in_context_observed, matching, matching_observed = _tally(
-        explanation.despite, explanation.because, examples
+        explanation.despite, explanation.because, matrix
     )
     return ExplanationMetrics(
         relevance=_share(in_context - in_context_observed, in_context),

@@ -28,10 +28,12 @@ keeps grouping independent of NaN object identity (a requirement for
 chunked blocks, whose spilled chunks are pickle round-tripped).
 
 The functions here define the *scalar* semantics and serve the reference
-path (``tests/oracles/pairref.py``) plus single-pair probes like
-``PerfXplain.pair_features``; bulk derivation over many candidate pairs
-runs column-at-a-time in :mod:`repro.core.pairkernel`, whose outputs the
-differential suite pins to these definitions.
+path (``tests/oracles/pairref.py``) plus the one pair a caller holds: the
+pair of interest every technique derives, and ``PerfXplain.pair_features``
+(a one-pair kernel context costs about ten times as much per vector).
+Bulk derivation over many candidate pairs runs column-at-a-time in
+:mod:`repro.core.pairkernel`, whose outputs the differential suite pins to
+these definitions.
 """
 
 from __future__ import annotations

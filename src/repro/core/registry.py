@@ -35,6 +35,7 @@ works without importing :mod:`repro.core` first.
 
 from __future__ import annotations
 
+import functools
 import inspect
 import random
 import zlib
@@ -43,6 +44,7 @@ from typing import TYPE_CHECKING, Any, Callable, Protocol, runtime_checkable
 from repro.exceptions import ExplanationError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
+    from repro.core.examples import TrainingMatrix
     from repro.core.explainer import PerfXplainConfig
     from repro.core.explanation import Explanation
     from repro.core.features import FeatureSchema
@@ -55,10 +57,10 @@ class Explainer(Protocol):
     """The interface every explanation-generation technique exposes.
 
     ``explain`` may additionally accept ``auto_despite`` (despite-clause
-    generation) and ``examples`` (precomputed training examples, used by the
-    session layer to share work across queries); callers detect support for
-    those keywords from the signature, so minimal implementations can omit
-    them.
+    generation) and ``examples`` (a precomputed
+    :class:`~repro.core.examples.TrainingMatrix`, used by the session layer
+    to share work across queries); callers detect support for those
+    keywords from the signature, so minimal implementations can omit them.
     """
 
     name: str
@@ -191,7 +193,7 @@ def explainer_accepts_examples(explainer: Explainer) -> bool:
     parallel-friendly work — so it can run outside the per-technique
     serialisation that keeps stateful explainers deterministic.
     """
-    return "examples" in _accepted_keywords(explainer.explain, ("examples",))
+    return "examples" in _explain_keywords(explainer)
 
 
 def call_explainer(
@@ -202,7 +204,7 @@ def call_explainer(
     schema: "FeatureSchema | None" = None,
     width: int | None = None,
     auto_despite: bool = False,
-    examples: "list | Callable[[], list | None] | None" = None,
+    examples: "TrainingMatrix | None" = None,
 ) -> "Explanation":
     """Invoke ``explainer.explain`` with only the keywords it supports.
 
@@ -211,12 +213,9 @@ def call_explainer(
     Requesting ``auto_despite`` from a technique that does not declare the
     keyword is an error (silently dropping it would change semantics);
     ``examples`` is a pure optimisation and is dropped when unsupported.
-    It may be a zero-argument callable, invoked only if the technique
-    declares the keyword — so callers can defer an expensive construction
-    for techniques that would ignore it.
     """
     kwargs: dict[str, Any] = {"schema": schema, "width": width}
-    accepted = _accepted_keywords(explainer.explain, ("auto_despite", "examples"))
+    accepted = _explain_keywords(explainer)
     if auto_despite:
         if "auto_despite" not in accepted:
             raise ExplanationError(
@@ -224,10 +223,23 @@ def call_explainer(
             )
         kwargs["auto_despite"] = auto_despite
     if examples is not None and "examples" in accepted:
-        resolved = examples() if callable(examples) else examples
-        if resolved is not None:
-            kwargs["examples"] = resolved
+        kwargs["examples"] = examples
     return explainer.explain(log, query, **kwargs)
+
+
+def _explain_keywords(explainer: Explainer) -> frozenset[str]:
+    """Which of the optional keywords the technique's ``explain`` accepts.
+
+    Worked out once per underlying function: a bound method is unwrapped,
+    so every instance of a class shares one entry and none is kept alive.
+    """
+    explain = explainer.explain
+    return _function_keywords(getattr(explain, "__func__", explain))
+
+
+@functools.lru_cache(maxsize=256)
+def _function_keywords(function: Callable) -> frozenset[str]:
+    return frozenset(_accepted_keywords(function, ("auto_despite", "examples")))
 
 
 def _accepted_keywords(callable_: Callable, candidates: tuple[str, ...]) -> set[str]:

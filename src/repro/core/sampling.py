@@ -21,16 +21,9 @@ labels and seed — never on interleaving between classes.
 from __future__ import annotations
 
 import random
-from operator import attrgetter
-from typing import Any, Callable, Sequence, TypeVar
+from typing import Sequence
 
 from repro.core.examples import Label
-
-T = TypeVar("T")
-
-#: Default label accessor: the item's ``label`` attribute (training
-#: examples); tuple inputs pass an explicit ``label_of`` instead.
-label_attribute: Callable[[Any], Label] = attrgetter("label")
 
 
 def stratified_keep_indices(
@@ -69,42 +62,3 @@ def stratified_keep_indices(
             kept.extend(rng.sample(indices, target))
     kept.sort()
     return kept
-
-
-def balanced_sample(
-    items: Sequence[T],
-    sample_size: int,
-    rng: random.Random | None = None,
-    label_of: Callable[[T], Label] | None = None,
-) -> list[T]:
-    """An exact-size class-balanced sample of labeled items.
-
-    See :func:`stratified_keep_indices` for the sampling rule (and the
-    documented deviation from the paper's expected-size probability pass).
-
-    :param items: labeled items (training examples or (first, second, label)
-        tuples).
-    :param sample_size: desired sample size ``m`` (exact when both classes
-        are large enough).
-    :param rng: random generator seeding the per-class partial shuffles.
-    :param label_of: how to obtain an item's label (defaults to
-        :data:`label_attribute`).
-    """
-    rng = rng if rng is not None else random.Random(0)
-    label_of = label_of if label_of is not None else label_attribute
-    labels = [label_of(item) for item in items]
-    kept = stratified_keep_indices(labels, sample_size, rng)
-    if kept is None:
-        return list(items)
-    return [items[index] for index in kept]
-
-
-def class_counts(
-    items: Sequence[T], label_of: Callable[[T], Label] | None = None
-) -> dict[Label, int]:
-    """Number of items per label."""
-    label_of = label_of if label_of is not None else label_attribute
-    counts = {Label.OBSERVED: 0, Label.EXPECTED: 0}
-    for item in items:
-        counts[label_of(item)] += 1
-    return counts

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from repro.core.examples import (
+    TrainingMatrix,
     construct_training_matrix,
     find_record,
     records_for_query,
@@ -102,7 +103,7 @@ class RuleBasedDetector:
         query: PXQLQuery,
         schema: FeatureSchema | None = None,
         width: int | None = None,
-        examples: list | None = None,
+        examples: TrainingMatrix | None = None,
     ) -> Explanation:
         """Run the detector's rules against the query's pair of interest.
 

@@ -30,11 +30,7 @@ from test_pair_pipeline_equivalence import (
 
 from repro.core.api import PerfXplainConfig, PerfXplainSession
 from repro.core.evaluation import measure_on_log
-from repro.core.examples import (
-    construct_training_examples,
-    construct_training_matrix,
-    iter_related_pairs,
-)
+from repro.core.examples import construct_training_matrix, iter_related_pairs
 from repro.core.explanation import Explanation
 from repro.core.features import infer_schema
 from repro.core.pxql.ast import Predicate
@@ -106,13 +102,13 @@ class TestChunkedEquivalence:
         query = random_query(seed)
         plain_log = random_log(seed)
         schema = infer_schema(plain_log.jobs)
-        plain = construct_training_examples(
+        plain = construct_training_matrix(
             plain_log, query, schema, sample_size=60, rng=random.Random(seed)
-        )
-        chunked = construct_training_examples(
+        ).examples
+        chunked = construct_training_matrix(
             chunked_log(seed, chunk_rows=7), query, schema, sample_size=60,
             rng=random.Random(seed),
-        )
+        ).examples
         _examples_equal(chunked, plain)
 
     @pytest.mark.parametrize("seed", SEEDS)
@@ -171,13 +167,13 @@ class TestShardedEquivalence:
         query = random_query(seed)
         log = random_log(seed)
         schema = infer_schema(log.jobs)
-        plain = construct_training_examples(
+        plain = construct_training_matrix(
             log, query, schema, sample_size=60, rng=random.Random(seed)
-        )
-        sharded = construct_training_examples(
+        ).examples
+        sharded = construct_training_matrix(
             log, query, schema, sample_size=60, rng=random.Random(seed),
             workers=workers,
-        )
+        ).examples
         _examples_equal(sharded, plain)
 
     @pytest.mark.parametrize("seed", SEEDS[:6])
@@ -235,13 +231,13 @@ class TestChunkedAndSharded:
         query = random_query(seed)
         plain_log = random_log(seed)
         schema = infer_schema(plain_log.jobs)
-        plain = construct_training_examples(
+        plain = construct_training_matrix(
             plain_log, query, schema, sample_size=60, rng=random.Random(seed)
-        )
-        combined = construct_training_examples(
+        ).examples
+        combined = construct_training_matrix(
             chunked_log(seed, chunk_rows), query, schema, sample_size=60,
             rng=random.Random(seed), workers=2,
-        )
+        ).examples
         _examples_equal(combined, plain)
 
     @pytest.mark.parametrize("seed", SEEDS[:4])

@@ -33,6 +33,8 @@ from repro.core.pxql.ast import Predicate
 from repro.core.pxql.parser import parse_query
 from repro.ingest import load_execution_log
 
+from tests.oracles.pairref import listed_matrix
+
 LOG = Path(__file__).parent / "fixtures" / "golden_small_grid.jsonl"
 
 QUESTIONS = {
@@ -201,7 +203,7 @@ def synthetic_matrix() -> TrainingMatrix:
              "mode": rng.choice("abc"), "noise": rng.random()},
             Label.OBSERVED if observed else Label.EXPECTED,
         ))
-    return TrainingMatrix.from_examples(examples, CATALOG)
+    return listed_matrix(examples, CATALOG)
 
 
 PAIR = {"flag": True, "zero": 0.0, "size": 8, "mode": "a", "noise": 0.5}

@@ -5,11 +5,12 @@ import random
 import pytest
 
 from repro.core.baselines import RuleOfThumbExplainer, SimButDiffExplainer
-from repro.core.examples import construct_training_examples
+from repro.core.examples import construct_training_matrix
 from repro.core.explainer import PerfXplainConfig, PerfXplainExplainer
-from repro.core.explanation import evaluate_explanation
+from repro.core.explanation import Explanation, evaluate_explanation
 from repro.core.features import PERFORMANCE_METRIC, FeatureLevel
 from repro.core.pairs import IS_SAME_SUFFIX, compute_pair_features, raw_feature_of
+from repro.core.pxql.ast import TRUE_PREDICATE
 from repro.core.pxql.parser import parse_predicate
 from repro.core.queries import why_slower_despite_same_num_instances
 from repro.exceptions import ConfigurationError, ExplanationError
@@ -68,11 +69,11 @@ class TestPerfXplainExplainer:
     def test_explanation_improves_precision_over_empty(self, small_log, job_schema, job_query):
         explainer = PerfXplainExplainer()
         explanation = explainer.explain(small_log, job_query, schema=job_schema, width=3)
-        examples = construct_training_examples(
+        matrix = construct_training_matrix(
             small_log, job_query, job_schema, rng=random.Random(5)
         )
-        base_rate = sum(1 for ex in examples if ex.is_observed) / len(examples)
-        metrics = evaluate_explanation(explanation, examples)
+        base_rate = sum(matrix.observed) / len(matrix)
+        metrics = evaluate_explanation(explanation, matrix)
         assert metrics.precision > base_rate
 
     def test_task_level_explanation(self, small_log, task_schema, task_query):
@@ -94,13 +95,15 @@ class TestPerfXplainExplainer:
         stripped = job_query.without_despite()
         despite = explainer.generate_despite(small_log, stripped, schema=job_schema, width=3)
         assert 1 <= despite.width <= 3
-        examples = construct_training_examples(
+        matrix = construct_training_matrix(
             small_log, stripped, job_schema, rng=random.Random(6)
         )
-        from repro.core.explanation import relevance_of
-        from repro.core.pxql.ast import TRUE_PREDICATE
 
-        assert relevance_of(despite, examples) > relevance_of(TRUE_PREDICATE, examples)
+        def relevance(predicate):
+            explanation = Explanation(because=TRUE_PREDICATE, despite=predicate)
+            return evaluate_explanation(explanation, matrix).relevance
+
+        assert relevance(despite) > relevance(TRUE_PREDICATE)
 
     def test_auto_despite_produces_combined_explanation(self, small_log, job_schema, job_query):
         explainer = PerfXplainExplainer()

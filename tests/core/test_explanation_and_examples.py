@@ -15,7 +15,6 @@ from repro.core.examples import (
     Label,
     TrainingExample,
     TrainingMatrix,
-    construct_training_examples,
     construct_training_matrix,
     find_record,
     iter_related_pairs,
@@ -26,15 +25,11 @@ from repro.core.explanation import (
     ExplanationMetrics,
     _tally,
     evaluate_explanation,
-    generality_of,
-    precision_of,
-    relevance_of,
 )
 from repro.core.pairs import IS_SAME_SUFFIX, compute_pair_features
 from repro.core.pxql.ast import Comparison, Operator, Predicate, TRUE_PREDICATE
 from repro.core.pxql.parser import parse_predicate
 from repro.core.queries import why_last_task_faster, why_slower_despite_same_num_instances
-from repro.core.sampling import balanced_sample, class_counts
 from repro.exceptions import ExplanationError
 from repro.ml.matrix import bits_to_flags
 
@@ -44,6 +39,7 @@ from tests.oracles.metricref import (
     similar_examples_reference,
     tally_reference,
 )
+from tests.oracles.pairref import balanced_sample, class_counts, listed_matrix
 
 
 def example(label: Label, **values) -> TrainingExample:
@@ -96,30 +92,31 @@ class TestExplanationObject:
 
 class TestMetricEstimation:
     def test_precision_of_cause(self):
-        examples = synthetic_examples()
-        because = parse_predicate("cause = yes")
-        assert precision_of(because, TRUE_PREDICATE, examples) == pytest.approx(0.8)
+        explanation = Explanation(because=parse_predicate("cause = yes"))
+        metrics = evaluate_explanation(explanation, listed_matrix(synthetic_examples()))
+        assert metrics.precision == pytest.approx(0.8)
 
     def test_generality_of_cause(self):
-        examples = synthetic_examples()
-        because = parse_predicate("cause = yes")
-        assert generality_of(because, TRUE_PREDICATE, examples) == pytest.approx(0.5)
+        explanation = Explanation(because=parse_predicate("cause = yes"))
+        metrics = evaluate_explanation(explanation, listed_matrix(synthetic_examples()))
+        assert metrics.generality == pytest.approx(0.5)
 
     def test_relevance_counts_expected(self):
-        examples = synthetic_examples()
-        despite = parse_predicate("cause = no")
-        assert relevance_of(despite, examples) == pytest.approx(0.9)
+        explanation = Explanation(
+            because=TRUE_PREDICATE, despite=parse_predicate("cause = no")
+        )
+        metrics = evaluate_explanation(explanation, listed_matrix(synthetic_examples()))
+        assert metrics.relevance == pytest.approx(0.9)
 
     def test_empty_match_gives_zero(self):
-        examples = synthetic_examples()
-        because = parse_predicate("cause = maybe")
-        assert precision_of(because, TRUE_PREDICATE, examples) == 0.0
-        assert generality_of(because, TRUE_PREDICATE, examples) == 0.0
+        explanation = Explanation(because=parse_predicate("cause = maybe"))
+        metrics = evaluate_explanation(explanation, listed_matrix(synthetic_examples()))
+        assert metrics.precision == 0.0
+        assert metrics.generality == 0.0
 
     def test_evaluate_explanation_combines_all(self):
-        examples = synthetic_examples()
         explanation = Explanation(because=parse_predicate("cause = yes"))
-        metrics = evaluate_explanation(explanation, examples)
+        metrics = evaluate_explanation(explanation, listed_matrix(synthetic_examples()))
         assert metrics.precision == pytest.approx(0.8)
         assert metrics.generality == pytest.approx(0.5)
         assert metrics.support == 20
@@ -127,7 +124,7 @@ class TestMetricEstimation:
     def test_empty_because_precision_equals_base_rate(self):
         examples = synthetic_examples()
         explanation = Explanation(because=TRUE_PREDICATE)
-        metrics = evaluate_explanation(explanation, examples)
+        metrics = evaluate_explanation(explanation, listed_matrix(examples))
         observed = sum(1 for ex in examples if ex.is_observed)
         assert metrics.precision == pytest.approx(observed / len(examples))
         assert metrics.generality == pytest.approx(1.0)
@@ -207,15 +204,17 @@ class TestBitsetCounts:
     """Row bitsets count exactly what the row-walking references count."""
 
     @staticmethod
-    def matrices(seed: int) -> list[TrainingMatrix]:
+    def matrices(seed: int) -> tuple[list[TrainingExample], list[TrainingMatrix]]:
+        """Random examples, read without and with a catalog."""
         examples, catalog = count_examples(seed)
-        return [TrainingMatrix.of(examples), TrainingMatrix.from_examples(examples, catalog)]
+        return examples, [listed_matrix(examples), listed_matrix(examples, catalog)]
 
     @pytest.mark.parametrize("seed", range(30))
     def test_satisfied_and_tally_match_the_row_walk(self, seed):
         rng = random.Random(seed + 100)
-        for matrix in self.matrices(seed):
-            atoms = count_atoms(matrix.examples)
+        examples, matrices = self.matrices(seed)
+        for matrix in matrices:
+            atoms = count_atoms(examples)
             predicates = [Predicate.of(atom) for atom in atoms] + [
                 Predicate.conjunction(rng.sample(atoms, rng.randint(2, 3)))
                 for _ in range(40)
@@ -240,7 +239,8 @@ class TestBitsetCounts:
         features = ["clean", "wide", "inexact", "mixed", "ones", SAME_FEATURES[0],
                     "outside", "absent"]
         operators = [Operator.LT, Operator.LE, Operator.GT, Operator.GE]
-        for matrix in self.matrices(seed):
+        examples, matrices = self.matrices(seed)
+        for matrix in matrices:
             if matrix.matrix.catalog:
                 assert matrix.matrix.column("clean").clean
                 assert matrix.matrix.column("wide").clean
@@ -253,7 +253,7 @@ class TestBitsetCounts:
                 for constant in THRESHOLD_CONSTANTS
             ]
             stored = [Comparison(feature, Operator.EQ, value)
-                      for example in matrix.examples
+                      for example in examples
                       for feature, value in example.values.items()
                       if value is not None]
             predicates = [Predicate.of(atom) for atom in atoms] + [
@@ -268,7 +268,7 @@ class TestBitsetCounts:
     @pytest.mark.parametrize("seed", range(30))
     def test_similarity_and_scores_match_the_row_walk(self, seed):
         rng = random.Random(seed + 200)
-        for matrix in self.matrices(seed):
+        for matrix in self.matrices(seed)[1]:
             for threshold in SIMILARITY_THRESHOLDS:
                 explainer = SimButDiffExplainer(similarity_threshold=threshold)
                 for k in range(len(SAME_FEATURES) + 1):
@@ -440,9 +440,9 @@ class TestRelatedPairs:
 
 class TestConstructTrainingExamples:
     def test_examples_have_full_vectors_and_labels(self, small_log, job_schema, job_query):
-        examples = construct_training_examples(
+        examples = construct_training_matrix(
             small_log, job_query, job_schema, sample_size=300, rng=random.Random(0)
-        )
+        ).examples
         assert examples
         assert {ex.label for ex in examples} == {Label.OBSERVED, Label.EXPECTED}
         sample = examples[0]
@@ -451,18 +451,18 @@ class TestConstructTrainingExamples:
         assert "blocksize" in sample.values
 
     def test_sample_size_respected(self, small_log, job_schema, job_query):
-        examples = construct_training_examples(
+        examples = construct_training_matrix(
             small_log, job_query, job_schema, sample_size=100, rng=random.Random(1)
         )
-        unsampled = construct_training_examples(
+        unsampled = construct_training_matrix(
             small_log, job_query, job_schema, sample_size=None, rng=random.Random(1)
         )
         assert len(examples) <= len(unsampled)
 
     def test_task_query_examples_blocked_by_job_and_host(self, small_log, task_schema, task_query):
-        examples = construct_training_examples(
+        examples = construct_training_matrix(
             small_log, task_query, task_schema, sample_size=200, rng=random.Random(2)
-        )
+        ).examples
         assert examples
         for ex in examples[:50]:
             first = small_log.find_task(ex.first_id)

@@ -8,7 +8,10 @@ related pairs (ids, labels *and order*), identical training examples
 file checks that on 48 randomized logs mixing nominal/numeric/bool/int
 columns, missing values, duplicated values, NaN, blocking clauses and every
 atom family (isSame/compare/diff/base, EQ/NE/ordering), plus capped
-candidate subsampling and the three feature levels.
+candidate subsampling and the three feature levels.  It also pins the
+scalar one-pair vector (:func:`~repro.core.pairs.compute_pair_features`,
+which techniques use for the pair of interest) to a one-pair kernel
+context at every feature level.
 """
 
 from __future__ import annotations
@@ -19,10 +22,10 @@ import pytest
 
 from repro.core.examples import (
     Label,
-    construct_training_examples,
     construct_training_matrix,
     encode_training_examples,
     iter_related_pairs,
+    pair_kernel_for,
 )
 from repro.core.features import (
     FeatureKind,
@@ -33,6 +36,7 @@ from repro.core.features import (
 from repro.core.pairs import PairFeatureConfig, compute_pair_features
 from repro.core.explanation import Explanation, ExplanationMetrics, evaluate_explanation
 from repro.core.evaluation import measure_on_log
+from repro.core.pairkernel import PairContext
 from repro.core.pxql.ast import Comparison, Operator, Predicate
 from repro.core.pxql.query import EntityKind, PXQLQuery
 from repro.logs.records import JobRecord
@@ -41,6 +45,7 @@ from repro.logs.store import ExecutionLog
 from tests.oracles.pairref import (
     construct_training_examples_reference,
     iter_related_pairs_reference,
+    listed_matrix,
 )
 
 #: Randomized log/query seeds exercised by every differential test.
@@ -138,6 +143,20 @@ class TestRelatedPairEquivalence:
                                                           rng=random.Random(seed)))
         assert kernel == reference
 
+        # The one-pair path: a random pair's scalar vector is a one-pair
+        # kernel context's at this level, under the inferred schema and
+        # under one forcing numeric kind onto the mixed-type column.
+        mixed = mixed_type_log(colliding_log(seed), seed)
+        rng = random.Random(seed + 77)
+        for schema in (infer_schema(mixed.jobs), forced_numeric_schema()):
+            pair_kernel = pair_kernel_for(mixed, query, schema, config)
+            for _ in range(20):
+                first, second = rng.choice(mixed.jobs), rng.choice(mixed.jobs)
+                assert _vectors_equal(
+                    compute_pair_features(first, second, schema, config),
+                    one_pair_vector(pair_kernel, first.job_id, second.job_id, level),
+                ), (first.job_id, second.job_id)
+
     @pytest.mark.parametrize("seed", DATASET_SEEDS[:16])
     def test_capped_subsampling_identical(self, seed):
         log = random_log(seed)
@@ -154,11 +173,7 @@ class TestRelatedPairEquivalence:
     @pytest.mark.parametrize("seed", DATASET_SEEDS[:8])
     def test_mixed_type_numeric_column_identical(self, seed):
         """A schema forcing numeric kind onto a mixed-type column."""
-        log = random_log(seed)
-        rng = random.Random(seed + 999)
-        for job in log.jobs:
-            if rng.random() < 0.3:
-                job.features["mem"] = rng.choice(["low", "high", True])
+        log = mixed_type_log(random_log(seed), seed)
         schema = FeatureSchema()
         for name in ("script", "host", "flag"):
             schema.add(name, FeatureKind.NOMINAL)
@@ -172,6 +187,37 @@ class TestRelatedPairEquivalence:
         assert kernel == reference
 
 
+def mixed_type_log(log: ExecutionLog, seed: int) -> ExecutionLog:
+    """``log`` with strings and bools among the ``mem`` column's numbers."""
+    rng = random.Random(seed + 999)
+    for job in log.jobs:
+        if rng.random() < 0.3:
+            job.features["mem"] = rng.choice(["low", "high", True])
+    return log
+
+
+def forced_numeric_schema() -> FeatureSchema:
+    """The columns of :func:`colliding_log`, with ``mem`` forced numeric."""
+    schema = FeatureSchema()
+    for name in ("script", "host", "flag", "host_diff"):
+        schema.add(name, FeatureKind.NOMINAL)
+    for name in ("mem", "size", "duration", "mem_compare"):
+        schema.add(name, FeatureKind.NUMERIC)
+    return schema
+
+
+def one_pair_vector(kernel, first_id: str, second_id: str, level: FeatureLevel) -> dict:
+    """One pair's feature vector through a one-pair kernel context: every
+    raw feature's derived columns at ``level``, later emissions winning."""
+    ids = kernel.block.ids
+    ctx = PairContext([ids.index(first_id)], [ids.index(second_id)])
+    vector = {}
+    for raw in kernel.schema.names():
+        for name, values in kernel.derived_columns(ctx, raw, level):
+            vector[name] = values[0]
+    return vector
+
+
 class TestTrainingExampleEquivalence:
     @pytest.mark.parametrize("seed", DATASET_SEEDS)
     def test_examples_identical(self, seed):
@@ -179,9 +225,9 @@ class TestTrainingExampleEquivalence:
         query = random_query(seed)
         schema = infer_schema(log.jobs)
         sample_size = random.Random(seed + 5).choice([None, 20, 75, 2000])
-        kernel = construct_training_examples(
+        kernel = construct_training_matrix(
             log, query, schema, sample_size=sample_size, rng=random.Random(seed)
-        )
+        ).examples
         reference = construct_training_examples_reference(
             log, query, schema, sample_size=sample_size, rng=random.Random(seed)
         )
@@ -221,7 +267,7 @@ class TestTrainingMatrixEquivalence:
             log, query, schema, sample_size=60, rng=random.Random(seed)
         )
         reference_matrix = encode_training_examples(
-            reference_examples, schema, feature_level=level
+            listed_matrix(reference_examples), schema, feature_level=level
         )
         assert kernel_matrix.encoding == reference_matrix.encoding
         assert kernel_matrix.matrix.features == reference_matrix.matrix.features
@@ -231,10 +277,6 @@ class TestTrainingMatrixEquivalence:
             reference_column = reference_matrix.matrix.column(feature)
             assert kernel_column.numeric == reference_column.numeric, feature
             assert _columns_equal(kernel_column.raw, reference_column.raw), feature
-        # The Sequence protocol surfaces the same example objectsively.
-        assert [example.label for example in kernel_matrix] == [
-            example.label for example in reference_matrix
-        ]
 
 
 def _columns_equal(kernel_column: list, reference_column: list) -> bool:
@@ -328,7 +370,7 @@ class TestOnDemandMatrixEquivalence:
             log, query, schema, sample_size=60, rng=random.Random(seed)
         )
         reference = encode_training_examples(
-            reference_examples, schema, feature_level=level
+            listed_matrix(reference_examples), schema, feature_level=level
         )
 
         # Metrics first, on a cold matrix: only the clauses' features derive.
@@ -355,8 +397,6 @@ class TestOnDemandMatrixEquivalence:
             assert example.second_id == reference_example.second_id
             assert example.label == reference_example.label
             assert _vectors_equal(example.values, reference_example.values)
-        if examples:
-            assert _vectors_equal(matrix[-1].values, reference_examples[-1].values)
 
     def test_the_later_emission_wins_a_name_collision(self):
         log = colliding_log(3)

@@ -1,6 +1,9 @@
 """Tests for the explainer registry, structured results and the batch session."""
 
+import gc
+import inspect
 import json
+import weakref
 
 import pytest
 
@@ -97,6 +100,47 @@ class TestRegistry:
             schema=None, width=1, examples=["not", "used"],
         )
         assert explanation.technique == "Constant"
+
+    def test_explain_keywords_are_inspected_once_per_function(self, small_log, monkeypatch):
+        """Repeated requests, and a second session's instances, reuse each
+        ``explain`` function's keywords; no instance is kept alive for it."""
+
+        class Plain(_ConstantExplainer):
+            def explain(self, log, query, schema=None, width=None):
+                return super().explain(log, query, schema=schema, width=width)
+
+        class Shared(_ConstantExplainer):
+            def explain(self, log, query, schema=None, width=None, examples=None):
+                assert examples is not None
+                return super().explain(log, query, schema=schema, width=width)
+
+        functions = {Plain.explain, Shared.explain}
+        inspected = []
+        signature = inspect.signature
+
+        def counting(target, *args, **kwargs):
+            function = getattr(target, "__func__", target)
+            if function in functions:
+                inspected.append(function)
+            return signature(target, *args, **kwargs)
+
+        monkeypatch.setattr(inspect, "signature", counting)
+        register_explainer("plain", Plain)
+        register_explainer("shared", Shared)
+        try:
+            sessions = [PerfXplainSession(small_log), PerfXplainSession(small_log)]
+            for session in sessions:
+                for width in (1, 2, 3):
+                    for technique in ("plain", "shared"):
+                        session.explain(JOB_QUERY_TEXT, width=width, technique=technique)
+            assert sorted(map(id, inspected)) == sorted(map(id, functions))
+            instance = weakref.ref(sessions[0].technique("shared"))
+            del sessions, session
+            gc.collect()
+            assert instance() is None
+        finally:
+            unregister_explainer("plain")
+            unregister_explainer("shared")
 
 
 class TestStructuredResults:
@@ -218,8 +262,8 @@ class TestSession:
 
     def test_examples_cached_per_clause_signature(self, small_log, job_query):
         session = PerfXplainSession(small_log)
-        first = session.training_examples(job_query)
-        second = session.training_examples(JOB_QUERY_TEXT)
+        first = session.training_matrix(job_query)
+        second = session.training_matrix(JOB_QUERY_TEXT)
         assert first is second  # same clause signature -> one construction
         assert len(session._matrix_cache) == 1
 
@@ -227,13 +271,6 @@ class TestSession:
         session = PerfXplainSession(small_log)
         assert session.find_pair(JOB_QUERY_TEXT) == session.find_pair(JOB_QUERY_TEXT)
         assert len(session._pair_cache) == 1
-
-    def test_pair_features_cached(self, small_log, job_query):
-        session = PerfXplainSession(small_log)
-        first = session.pair_features(job_query)
-        second = session.pair_features(job_query)
-        assert first is second
-        assert first["numinstances_isSame"] == "T"
 
     def test_session_explanations_match_quality(self, small_log, job_query):
         session = PerfXplainSession(small_log)
@@ -295,7 +332,6 @@ class TestSessionCacheBounds:
             "explanations",
             "matrices",
             "pairs",
-            "pair_features",
             "record_blocks",
         }
         assert all(s.size == 0 for s in stats.values())

@@ -148,14 +148,3 @@ class TestWarmColdEquivalence:
         assert warm_pair == cold.find_pair(job_query)
         assert warm_job.to_dict() == cold.explain(job_query).to_dict()
         assert warm_task.to_dict() == cold.explain(task_query).to_dict()
-
-    def test_pair_features_refresh_after_append(self, full_log):
-        log, tail_jobs, _ = split_log(full_log, 12)
-        session = PerfXplainSession(log, seed=3)
-        query = why_slower_despite_same_num_instances()
-        resolved = session.resolve(query)
-        session.pair_features(resolved)
-        assert session.cache_stats()["pair_features"].size == 1
-        log.extend(jobs=tail_jobs)
-        session.resolve(query)  # sync point
-        assert session.cache_stats()["pair_features"].size == 0

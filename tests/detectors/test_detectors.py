@@ -59,6 +59,19 @@ class TestRegistry:
         )
         assert explanation.technique == "detect-skew"
 
+    def test_an_empty_training_set_scores_zero_metrics(self, real_log):
+        """``examples=[]`` skips the training matrix: the rule's evidence
+        stays and the three metrics read zero."""
+        px = PerfXplain(real_log, seed=0)
+        query = px.resolve(TASK_QUERY)
+        detector = create_explainer("detect-skew")
+        metrics = detector.explain(
+            real_log, query, px.schema_for(query), examples=[]
+        ).metrics
+        assert (metrics.relevance, metrics.precision, metrics.generality) == (0, 0, 0)
+        assert metrics.support == 0
+        assert dict(metrics.evidence)["skew_threshold"] == 2.0
+
     def test_unbound_query_without_pair_raises(self):
         detector = create_explainer("detect-skew")
         log = _job_log({"a": (10.0, {}), "b": (20.0, {})})

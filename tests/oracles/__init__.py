@@ -7,8 +7,9 @@ identical output and measure its speedup:
 * :mod:`tests.oracles.rowpath` — row-oriented split search and decision
   tree (versus the columnar :mod:`repro.ml.matrix` pipeline);
 * :mod:`tests.oracles.pairref` — dict-per-pair related-pair enumeration,
-  record grouping and training examples (versus the pair kernels of
-  :mod:`repro.core.pairkernel`);
+  record grouping, balanced sampling and training examples (versus the
+  pair kernels of :mod:`repro.core.pairkernel`), and a training matrix
+  whose columns are read from example dicts;
 * :mod:`tests.oracles.engineref` — the processor-sharing simulation loop
   that recomputes every rate at every event (versus the event core of
   :mod:`repro.cluster.engine`);

@@ -20,7 +20,6 @@ proven against.
 from __future__ import annotations
 
 from operator import add, and_
-from typing import Sequence
 
 from repro.core.examples import TrainingMatrix
 from repro.core.pxql.ast import Predicate
@@ -36,10 +35,9 @@ def satisfied_reference(matrix: TrainingMatrix, predicate: Predicate) -> bytearr
 
 
 def tally_reference(
-    despite: Predicate, because: Predicate, examples: Sequence
+    despite: Predicate, because: Predicate, matrix: TrainingMatrix
 ) -> tuple[int, int, int, int]:
     """(in context, in-context observed, matching, matching observed)."""
-    matrix = TrainingMatrix.of(examples)
     in_context = satisfied_reference(matrix, despite)
     matching = bytearray(map(and_, in_context, satisfied_reference(matrix, because)))
     observed = matrix.observed

@@ -20,21 +20,30 @@ Two deliberate behaviours are *shared* with the live path rather than
 frozen, because they changed in the same refactor: the order-independent
 hash-based candidate subsampling (:func:`repro.core.pairkernel.pair_is_kept`)
 and the exact-size stratified balanced sampling
-(:func:`repro.core.sampling.balanced_sample`).  Both paths therefore sample
-identical subsets, and the differential comparison isolates exactly the
-columnar re-layout.
+(:func:`repro.core.sampling.stratified_keep_indices`, applied to labeled
+items by :func:`balanced_sample`).  Both paths therefore sample identical
+subsets, and the differential comparison isolates exactly the columnar
+re-layout.
+
+:func:`listed_matrix` wraps dict examples — these, or synthetic ones a
+unit test writes — in a :class:`~repro.core.examples.TrainingMatrix` whose
+columns are read from the dicts, so the matrix's counts and searches run
+on columns no log could produce.
 """
 
 from __future__ import annotations
 
 import random
-from operator import itemgetter
-from typing import Iterator, Sequence
+from operator import attrgetter, itemgetter
+from types import SimpleNamespace
+from typing import Any, Callable, Iterator, Sequence, TypeVar
 
 from repro.core.examples import (
     Label,
     TrainingExample,
+    TrainingMatrix,
     _blocking_features,
+    _PairFeatureMatrix,
     validate_query_features,
     records_for_query,
 )
@@ -42,6 +51,7 @@ from repro.core.features import FeatureLevel, FeatureSchema
 from repro.core.pairkernel import keep_limit, pair_is_kept, sampling_salt
 from repro.core.pairs import PairFeatureConfig, compute_pair_features
 from repro.core.pxql.query import PXQLQuery
+from repro.core.sampling import stratified_keep_indices
 from repro.logs.records import ExecutionRecord
 from repro.logs.store import ExecutionLog
 
@@ -128,8 +138,6 @@ def construct_training_examples_reference(
     :func:`repro.core.pairs.compute_pair_features` — the per-pair dict
     allocation the columnar pipeline eliminates.
     """
-    from repro.core.sampling import balanced_sample  # local import: avoids a cycle
-
     config = config if config is not None else PairFeatureConfig()
     rng = rng if rng is not None else random.Random(0)
 
@@ -160,3 +168,95 @@ def construct_training_examples_reference(
             )
         )
     return examples
+
+
+T = TypeVar("T")
+
+#: Default label accessor: the item's ``label`` attribute (training
+#: examples); tuple inputs pass an explicit ``label_of`` instead.
+label_attribute: Callable[[Any], Label] = attrgetter("label")
+
+
+def balanced_sample(
+    items: Sequence[T],
+    sample_size: int,
+    rng: random.Random | None = None,
+    label_of: Callable[[T], Label] | None = None,
+) -> list[T]:
+    """An exact-size class-balanced sample of labeled items.
+
+    See :func:`repro.core.sampling.stratified_keep_indices` for the sampling
+    rule (and the documented deviation from the paper's expected-size
+    probability pass).
+
+    :param items: labeled items (training examples or (first, second, label)
+        tuples).
+    :param sample_size: desired sample size ``m`` (exact when both classes
+        are large enough).
+    :param rng: random generator seeding the per-class partial shuffles.
+    :param label_of: how to obtain an item's label (defaults to
+        :data:`label_attribute`).
+    """
+    rng = rng if rng is not None else random.Random(0)
+    label_of = label_of if label_of is not None else label_attribute
+    labels = [label_of(item) for item in items]
+    kept = stratified_keep_indices(labels, sample_size, rng)
+    if kept is None:
+        return list(items)
+    return [items[index] for index in kept]
+
+
+def class_counts(
+    items: Sequence[T], label_of: Callable[[T], Label] | None = None
+) -> dict[Label, int]:
+    """Number of items per label."""
+    label_of = label_of if label_of is not None else label_attribute
+    counts = {Label.OBSERVED: 0, Label.EXPECTED: 0}
+    for item in items:
+        counts[label_of(item)] += 1
+    return counts
+
+
+#: What a :class:`ListedColumns` passes for a kernel: an empty schema, so
+#: no pair feature is derivable and every column comes from the dicts.
+_NO_KERNEL = SimpleNamespace(schema=FeatureSchema())
+
+
+class ListedColumns(_PairFeatureMatrix):
+    """A training matrix's columns read from example dicts.
+
+    A name no example carries reads as all-missing, like the absent key of
+    an example dict.  Catalog columns are encoded on first access, as on a
+    kernel-backed matrix.
+    """
+
+    __slots__ = ("listed",)
+
+    def __init__(self, catalog: dict[str, bool], listed: list) -> None:
+        rows = range(len(listed))
+        super().__init__(catalog, _NO_KERNEL, rows, rows)
+        self.listed = listed
+
+    def with_catalog(self, catalog: dict[str, bool]) -> ListedColumns:
+        return ListedColumns(catalog, self.listed)
+
+    def values(self, name: str) -> list:
+        values = self._values.get(name)
+        if values is None:
+            values = [example.values.get(name) for example in self.listed]
+            self._values[name] = values
+        return values
+
+
+def listed_matrix(
+    examples: Sequence[TrainingExample], catalog: dict[str, bool] | None = None
+) -> TrainingMatrix:
+    """A training matrix over dict examples, searchable on ``catalog``
+    (feature -> is numeric; none by default).
+
+    The caller keeps ``examples``: the matrix's own ``examples`` property
+    reads record ids from a kernel, which this matrix does not have.
+    """
+    listed = list(examples)
+    observed = bytearray(1 if example.is_observed else 0 for example in listed)
+    return TrainingMatrix(ListedColumns(catalog or {}, listed), observed, None)
