@@ -279,7 +279,9 @@ class PerfXplainSession(PerfXplain):
     signature* — the (entity, despite, observed, expected) quadruple —
     which is what the training examples actually depend on (not the pair
     of interest), so N queries with shared clauses pay for one
-    construction and one encoding.
+    construction and one encoding.  The pass that builds a matrix also
+    picks the signature's pair of interest, so a ``?`` question filters
+    its candidates once.
 
     All caching is deterministic: the session derives every random
     generator from its seed, so a session answers a fixed query list
@@ -294,8 +296,8 @@ class PerfXplainSession(PerfXplain):
     high-water mark.  When records are *appended* (live, growing logs),
     only the cache entries whose clause signature touches the grown
     record kind are discarded — a task append leaves every job-level
-    explanation, matrix, pair and schema untouched.  In-place
-    replacement or an explicit
+    explanation, matrix (with its pair of interest) and schema untouched.
+    In-place replacement or an explicit
     :meth:`~repro.logs.store.ExecutionLog.invalidate_caches` moves the
     epoch instead, which drops everything: history changed, so nothing
     derived from it can be trusted.
@@ -321,7 +323,6 @@ class PerfXplainSession(PerfXplain):
     ) -> None:
         super().__init__(log, config=config, seed=seed)
         self._matrix_cache = LRUCache(cache_capacity)
-        self._pair_cache = LRUCache(cache_capacity)
         self._explanation_cache = LRUCache(cache_capacity)
         self._log_snapshot = log.mutation_snapshot()
         self._append_invalidations = 0
@@ -440,16 +441,20 @@ class PerfXplainSession(PerfXplain):
         Entries for a record kind are discarded when the log grows (or
         changes) that kind; see the class docstring.
         """
-        resolved = self.resolve(query)
-        key = self._clause_signature(resolved)
+        return self._matrix_for(self.resolve(query))
+
+    def _matrix_for(self, query: PXQLQuery) -> TrainingMatrix:
+        """The cached, single-flighted matrix of a query's clause signature
+        (the pair of interest plays no part, so ``?`` queries have one)."""
+        key = self._clause_signature(query)
         matrix = self._matrix_cache.get(key)
         if matrix is None:
 
             def build() -> TrainingMatrix:
                 built = construct_training_matrix(
                     self.log,
-                    resolved,
-                    self.schema_for(resolved),
+                    query,
+                    self.schema_for(query),
                     config=self.config.pair_config,
                     sample_size=self.config.sample_size,
                     rng=random.Random(self._seed),
@@ -468,22 +473,17 @@ class PerfXplainSession(PerfXplain):
         return super().resolve(query)
 
     def find_pair(self, query: str | PXQLQuery) -> tuple[str, str]:
-        """Pick a pair of executions for a query (cached per clause signature)."""
+        """Pick a pair of executions for a query.
+
+        The pick is the one :func:`~repro.core.queries.find_pair_of_interest`
+        makes, read off the pass that built the clause signature's cached
+        training matrix (:meth:`~repro.core.examples.TrainingMatrix.pair_of_interest`):
+        a ``?`` question filters its candidates once, and the pick shares
+        the matrix's cache entry and invalidation.
+        """
         self._sync_with_log()
         query = query if isinstance(query, PXQLQuery) else self.parse(query)
-        key = self._clause_signature(query)
-        pair = self._pair_cache.get(key)
-        if pair is None:
-            parent = super()
-            resolved_query = query
-
-            def build() -> tuple[str, str]:
-                built = parent.find_pair(resolved_query)
-                self._pair_cache.put(key, built)
-                return built
-
-            pair = self._flight.do(("pair", key), build)
-        return pair
+        return self._matrix_for(query).pair_of_interest(query)
 
     def cache_stats(self) -> dict[str, CacheStats]:
         """Hit/miss/eviction counters for every session cache, by name.
@@ -496,7 +496,6 @@ class PerfXplainSession(PerfXplain):
         return {
             "explanations": self._explanation_cache.stats(),
             "matrices": self._matrix_cache.stats(),
-            "pairs": self._pair_cache.stats(),
             "record_blocks": CacheStats(**self.log.block_cache_stats()),
         }
 
@@ -542,7 +541,6 @@ class PerfXplainSession(PerfXplain):
         """Discard everything derived from one record kind's contents."""
         self._schemas.pop(kind, None)
         self._matrix_cache.discard_if(lambda key: key[0] == kind)
-        self._pair_cache.discard_if(lambda key: key[0] == kind)
         self._explanation_cache.discard_if(lambda key: key[0][0] == kind)
         self._append_invalidations += 1
 
@@ -550,7 +548,6 @@ class PerfXplainSession(PerfXplain):
         """Discard every cached derivation (the log's history changed)."""
         self._schemas.clear()
         self._matrix_cache.clear()
-        self._pair_cache.clear()
         self._explanation_cache.clear()
         self._full_invalidations += 1
 

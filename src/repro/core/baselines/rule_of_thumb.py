@@ -18,7 +18,7 @@ from repro.core.examples import (
     records_for_query,
 )
 from repro.core.explanation import Explanation, evaluate_explanation
-from repro.core.features import PERFORMANCE_METRIC, FeatureLevel, FeatureSchema, infer_schema
+from repro.core.features import PERFORMANCE_METRIC, FeatureSchema, infer_schema
 from repro.core.pairs import (
     IS_SAME_SUFFIX,
     NOT_SAME,

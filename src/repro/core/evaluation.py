@@ -17,7 +17,6 @@ the specific sweeps behind each figure:
 
 from __future__ import annotations
 
-import math
 import random
 import statistics
 from dataclasses import dataclass, field
@@ -37,7 +36,7 @@ from repro.core.explainer import PerfXplainConfig, PerfXplainExplainer
 from repro.core.features import FeatureLevel, FeatureSchema, infer_schema
 from repro.core.pairkernel import PairContext
 from repro.core.pairs import PairFeatureConfig
-from repro.core.pxql.ast import Predicate, TRUE_PREDICATE
+from repro.core.pxql.ast import TRUE_PREDICATE
 from repro.core.pxql.query import EntityKind, PXQLQuery
 from repro.core.registry import Explainer
 from repro.exceptions import EvaluationError

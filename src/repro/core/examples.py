@@ -33,9 +33,10 @@ import enum
 import random
 import threading
 from dataclasses import dataclass
-from itertools import repeat
-from operator import and_, is_not
-from typing import Any, Iterator, Sequence
+from itertools import chain, compress, repeat
+from math import log
+from operator import and_, attrgetter, is_, is_not, truediv
+from typing import Any, Callable, Iterator, Sequence
 
 from repro.ml.matrix import FeatureColumn, FeatureMatrix, flags_to_bits
 
@@ -46,6 +47,7 @@ from repro.core.pairkernel import (
     blocking_group_indices,
     derived_names,
     keep_limit,
+    kept_flags,
     sampling_salt,
 )
 from repro.core.pairs import (
@@ -58,6 +60,7 @@ from repro.core.pairs import (
 from repro.core.pxql.ast import Comparison, Operator, Predicate
 from repro.core.pxql.query import EntityKind, PXQLQuery
 from repro.exceptions import ExplanationError
+from repro.logs.chunkstore import RecordBlock
 from repro.logs.records import ExecutionRecord, FeatureValue
 from repro.logs.store import ExecutionLog
 
@@ -164,6 +167,7 @@ def related_index_batches(
     max_candidate_pairs: int | None,
     rng: random.Random,
     workers: int = 1,
+    on_total: Callable[[int], None] | None = None,
 ) -> Iterator[tuple[list[int], list[int], list[Label]]]:
     """Related pairs as labeled index batches, in candidate order.
 
@@ -171,11 +175,11 @@ def related_index_batches(
     their labels.  Candidates are enumerated lazily within blocking groups,
     so every candidate already satisfies the despite atoms the groups block
     on; those atoms are dropped from the clause the batches evaluate.  Per
-    batch, the rest of the despite clause prunes first, then the observed and
-    expected clauses run over the survivors (sharing one gather cache) and
-    the labels fall out of the two masks at C level: a pair is related when
-    either holds, and OBSERVED wins — identical to the reference's
-    despite-then-observed-elif-expected sequence per pair
+    batch, the rest of the despite clause prunes atom by atom, then the
+    observed and expected clauses run over the survivors (sharing one
+    gather cache) and the labels fall out of the two masks at C level: a
+    pair is related when either holds, and OBSERVED wins — identical to the
+    reference's despite-then-observed-elif-expected sequence per pair
     (:func:`~repro.core.pairshard.evaluate_candidate_batch`).
 
     :param workers: with ``>= 2``, batches are fanned out across a forked
@@ -183,6 +187,9 @@ def related_index_batches(
         (:func:`~repro.core.pairshard.iter_evaluated_batches`) — the yielded
         stream is byte-identical for every worker count, because candidate
         order and the CRC32 sampling rule are both order-independent.
+    :param on_total: called with the blocked candidate count before the
+        stream draws its salt from ``rng``, so a caller can work out which
+        pairs a pass under another cap would keep.
     """
     from repro.core.pairshard import iter_evaluated_batches
 
@@ -192,6 +199,8 @@ def related_index_batches(
     groups = blocking_group_indices(block, blocking)
 
     total_candidates = sum(len(group) * (len(group) - 1) for group in groups)
+    if on_total is not None:
+        on_total(total_candidates)
     salt: int | None = None
     limit = 0
     if max_candidate_pairs is not None and total_candidates > max_candidate_pairs:
@@ -258,6 +267,155 @@ def iter_related_pairs(
         )
 
 
+#: The blocked candidates the pair-of-interest search examines at most
+#: (:func:`~repro.core.queries.find_pair_of_interest`); beyond it, it
+#: scans the hash-subsampled subset.
+PAIR_SEARCH_CANDIDATES = 500_000
+
+#: Durations are floored at this before their ratio is taken.
+_MIN_DURATION = 1e-9
+
+_duration_of = attrgetter("duration")
+
+
+def highest_contrast(
+    records: Sequence[ExecutionRecord],
+    firsts: Sequence[int],
+    seconds: Sequence[int],
+    best: float = -1.0,
+) -> tuple[int, float]:
+    """The pair with the largest runtime contrast, if it beats ``best``.
+
+    A pair's contrast is ``abs(log(max(d1, 1e-9) / max(d2, 1e-9)))`` over
+    its records' durations, gathered and mapped at C level.  It keeps the
+    division form: ``log(d1) - log(d2)`` can round differently.  Returns
+    the position of the first pair whose contrast is the largest and
+    greater than ``best``, with that contrast, or ``(-1, best)``.  ``max``
+    replaces its running maximum only with a greater item, so a NaN
+    contrast never wins and the first of tied pairs does.  A zero ratio
+    (a finite duration over an infinite one) raises ``math.log``'s
+    :class:`ValueError`.
+    """
+    contrasts = list(
+        map(abs, map(log, map(
+            truediv,
+            map(max, map(_duration_of, map(records.__getitem__, firsts)),
+                repeat(_MIN_DURATION)),
+            map(max, map(_duration_of, map(records.__getitem__, seconds)),
+                repeat(_MIN_DURATION)),
+        )))
+    )
+    top = max(chain((best,), contrasts))
+    if top > best:
+        return contrasts.index(top), top
+    return -1, best
+
+
+def observed_flags(labels: Sequence[Label]) -> bytes:
+    """One flag per pair: labeled OBSERVED."""
+    return bytes(map(is_, labels, repeat(Label.OBSERVED)))
+
+
+def no_pair_error(query: PXQLQuery) -> ExplanationError:
+    """The error of a ``?`` question whose related pairs hold no OBSERVED one."""
+    return ExplanationError(
+        f"no pair in the log satisfies the despite and observed clauses of "
+        f"query {query.name or str(query)!r}"
+    )
+
+
+class PairPick:
+    """A related-pair stream's pair of interest, picked batch by batch.
+
+    :meth:`scan` takes each batch in stream order with one keep flag per
+    pair (OBSERVED, and whatever else the caller requires); the pick is the
+    first kept pair with the largest :func:`highest_contrast`.
+    """
+
+    __slots__ = ("records", "best", "rows")
+
+    def __init__(self, records: Sequence[ExecutionRecord]) -> None:
+        self.records = records
+        self.best = -1.0
+        #: The picked ``(first, second)`` record indices so far.
+        self.rows: tuple[int, int] | None = None
+
+    def scan(self, firsts: Sequence[int], seconds: Sequence[int], keep: bytes) -> None:
+        """Consider one batch's kept pairs after every earlier batch's."""
+        firsts = list(compress(firsts, keep))
+        seconds = list(compress(seconds, keep))
+        index, self.best = highest_contrast(self.records, firsts, seconds, self.best)
+        if index >= 0:
+            self.rows = (firsts[index], seconds[index])
+
+    def ids(self) -> tuple[str, str] | None:
+        """The picked pair's entity ids (``None`` before any kept pair)."""
+        if self.rows is None:
+            return None
+        first, second = self.rows
+        return self.records[first].entity_id, self.records[second].entity_id
+
+
+class _SearchPick(PairPick):
+    """The pick :func:`~repro.core.queries.find_pair_of_interest` makes,
+    read off a matrix pass over the same clauses and rng state.
+
+    The search's cap is :data:`PAIR_SEARCH_CANDIDATES`, or the pass's own
+    cap when that is lower.  When the blocked candidates exceed it, the
+    search scans the pairs :func:`~repro.core.pairkernel.pair_is_kept`
+    accepts under its limit and a salt drawn as the first
+    ``getrandbits(32)`` of ``rng`` — the salt a capped pass draws too —
+    so those pairs of the pass are the search's whole stream.  The salt is
+    drawn from a copy: the pass's own rng does not move.  A
+    :class:`ValueError` from :func:`highest_contrast` is what the search
+    raises; it ends the scan and becomes the result.
+    """
+
+    __slots__ = ("block", "rng", "cap", "salt", "limit", "error")
+
+    def __init__(
+        self, block: RecordBlock, max_candidate_pairs: int | None, rng: random.Random
+    ) -> None:
+        super().__init__(block.records)
+        self.block = block
+        self.rng = rng
+        self.cap = (
+            PAIR_SEARCH_CANDIDATES
+            if max_candidate_pairs is None
+            else min(PAIR_SEARCH_CANDIDATES, max_candidate_pairs)
+        )
+        self.salt: int | None = None
+        self.limit = 0
+        self.error: ValueError | None = None
+
+    def start(self, total_candidates: int) -> None:
+        """Draw the search's salt and limit if it is capped."""
+        if total_candidates > self.cap:
+            probe = random.Random()
+            probe.setstate(self.rng.getstate())
+            self.salt = sampling_salt(probe)
+            self.limit = keep_limit(self.cap, total_candidates)
+
+    def scan_labeled(
+        self, firsts: Sequence[int], seconds: Sequence[int], labels: Sequence[Label]
+    ) -> None:
+        """Consider one batch's OBSERVED pairs that the search scans."""
+        if self.error is not None:
+            return
+        keep = observed_flags(labels)
+        if self.salt is not None:
+            searched = kept_flags(self.block, firsts, seconds, self.salt, self.limit)
+            keep = bytes(map(and_, keep, searched))
+        try:
+            self.scan(firsts, seconds, keep)
+        except ValueError as error:
+            self.error = error
+
+    def result(self) -> tuple[str, str] | ValueError | None:
+        """The picked ids, the search's error, or ``None``."""
+        return self.error if self.error is not None else self.ids()
+
+
 def _sampled_index_pairs(
     kernel: PairKernel,
     query: PXQLQuery,
@@ -265,16 +423,19 @@ def _sampled_index_pairs(
     max_candidate_pairs: int | None,
     rng: random.Random,
     workers: int = 1,
-) -> tuple[list[int], list[int], list[Label]]:
-    """Collect the related index pairs and balanced-sample them."""
+) -> tuple[list[int], list[int], list[Label], tuple[str, str] | ValueError | None]:
+    """Collect the related index pairs, pick the pair of interest from
+    them (:class:`_SearchPick`) and balanced-sample them."""
     from repro.core.sampling import stratified_keep_indices  # local: avoids a cycle
 
+    pick = _SearchPick(kernel.block, max_candidate_pairs, rng)
     firsts: list[int] = []
     seconds: list[int] = []
     labels: list[Label] = []
     for batch_firsts, batch_seconds, batch_labels in related_index_batches(
-        kernel, query, max_candidate_pairs, rng, workers=workers
+        kernel, query, max_candidate_pairs, rng, workers=workers, on_total=pick.start
     ):
+        pick.scan_labeled(batch_firsts, batch_seconds, batch_labels)
         firsts.extend(batch_firsts)
         seconds.extend(batch_seconds)
         labels.extend(batch_labels)
@@ -284,7 +445,7 @@ def _sampled_index_pairs(
             firsts = [firsts[index] for index in kept]
             seconds = [seconds[index] for index in kept]
             labels = [labels[index] for index in kept]
-    return firsts, seconds, labels
+    return firsts, seconds, labels, pick.result()
 
 
 #: Observed flag -> label.
@@ -463,16 +624,21 @@ class TrainingMatrix:
     growth or another, never a mix; the entry goes with the matrix when a
     cache evicts or invalidates it.
 
+    The pass that filtered the pairs also picked the clause signature's
+    pair of interest (:meth:`pair_of_interest`), so a ``?`` question costs
+    one pass over the candidates, not a search and then a build.
+
     ``len()`` is the number of examples, so an empty matrix is falsy.
     """
 
-    __slots__ = ("matrix", "observed", "encoding", "growths", "_expected")
+    __slots__ = ("matrix", "observed", "encoding", "pick", "growths", "_expected")
 
     def __init__(
         self,
         matrix: _PairFeatureMatrix,
         observed: bytearray,
         encoding: tuple | None,
+        pick: tuple[str, str] | ValueError | None = None,
     ) -> None:
         #: Columnar encoding of the catalog's pair features (deferred).
         self.matrix = matrix
@@ -483,6 +649,10 @@ class TrainingMatrix:
         #: :func:`encode_training_examples` so a matrix encoded for one
         #: configuration is never silently reused under another.
         self.encoding = encoding
+        #: What :func:`~repro.core.queries.find_pair_of_interest` returns
+        #: for the matrix's clauses: the picked record ids, ``None`` when no
+        #: pair it scans is OBSERVED, or the :class:`ValueError` it raises.
+        self.pick = pick
         #: Positive label -> the latest clause growth over this matrix.
         self.growths: dict[Label, Any] = {}
         self._expected: bytearray | None = None
@@ -490,6 +660,20 @@ class TrainingMatrix:
     def values(self, name: str) -> list:
         """One pair feature's value per example (``None`` = missing)."""
         return self.matrix.values(name)
+
+    def pair_of_interest(self, query: PXQLQuery) -> tuple[str, str]:
+        """The pair of interest of ``query``, a question with this matrix's
+        clauses, exactly as :func:`~repro.core.queries.find_pair_of_interest`
+        picks it under the same rng state.
+
+        :raises ExplanationError: if no related pair is OBSERVED.
+        """
+        pick = self.pick
+        if isinstance(pick, ValueError):
+            raise ValueError(*pick.args)
+        if pick is None:
+            raise no_pair_error(query)
+        return pick
 
     def satisfied(self, predicate: Predicate) -> int:
         """The examples satisfying every atom of ``predicate``, as a row
@@ -620,7 +804,9 @@ def construct_training_matrix(
     This corresponds to lines 1-2 of Algorithm 1: collect the related pairs
     through the vectorised kernels, then keep a balanced sample of at most
     ``sample_size`` of them.  Pair features are derived later, column by
-    column and only for the sampled pairs, as techniques read them.
+    column and only for the sampled pairs, as techniques read them.  The
+    same pass picks the clauses' pair of interest
+    (:meth:`TrainingMatrix.pair_of_interest`) without moving ``rng``.
 
     :param workers: process-shard the candidate filtering across this many
         forked workers (results are bit-identical for every count).
@@ -631,13 +817,13 @@ def construct_training_matrix(
     rng = rng if rng is not None else random.Random(0)
     validate_query_features(query, schema)
     kernel = pair_kernel_for(log, query, schema, config)
-    firsts, seconds, labels = _sampled_index_pairs(
+    firsts, seconds, labels, pick = _sampled_index_pairs(
         kernel, query, sample_size, max_candidate_pairs, rng, workers=workers
     )
     observed = bytearray(1 if label is Label.OBSERVED else 0 for label in labels)
     catalog, encoding = _encoding_of(schema, config, feature_level)
     return TrainingMatrix(
-        _PairFeatureMatrix(catalog, kernel, firsts, seconds), observed, encoding
+        _PairFeatureMatrix(catalog, kernel, firsts, seconds), observed, encoding, pick
     )
 
 
@@ -660,4 +846,6 @@ def encode_training_examples(
     catalog, encoding = _encoding_of(schema, config, feature_level)
     if matrix.encoding == encoding:
         return matrix
-    return TrainingMatrix(matrix.matrix.with_catalog(catalog), matrix.observed, encoding)
+    return TrainingMatrix(
+        matrix.matrix.with_catalog(catalog), matrix.observed, encoding, matrix.pick
+    )

@@ -229,21 +229,29 @@ class PairKernel:
         key = (raw, "close", tolerance)
         cached = ctx.cache.get(key)
         if cached is None:
-            float_a = self._gather(ctx, raw, "xa")
-            float_b = self._gather(ctx, raw, "xb")
-            spread = map(abs, map(sub, float_a, float_b))
-            scale = list(map(max, map(abs, float_a), map(abs, float_b)))
-            within = map(le, spread, map(tolerance.__mul__, scale))
-            zero_scale = map((0.0).__eq__, scale)
-            cached = bytearray(
-                map(
-                    or_,
-                    map(or_, map(eq, float_a, float_b), zero_scale),
-                    within,
-                )
-            )
-            ctx.cache[key] = cached
+            self._cache_close(ctx, raw, (tolerance,))
+            cached = ctx.cache[key]
         return cached  # type: ignore[return-value]
+
+    def _cache_close(
+        self, ctx: PairContext, raw: str, tolerances: Sequence[float]
+    ) -> None:
+        """Cache :meth:`_close`'s mask at each tolerance, sharing one pass
+        of the tolerance-free work: ``|a - b|``, the scale and the
+        ``a == b or scale == 0`` mask.  Each tolerance adds only
+        ``|a - b| <= tol * scale``.  The shared lists are dropped on
+        return, so a context keeps one byte mask per tolerance (a filter
+        reads one tolerance and never holds the spread as a list)."""
+        float_a = self._gather(ctx, raw, "xa")
+        float_b = self._gather(ctx, raw, "xb")
+        spread = map(abs, map(sub, float_a, float_b))
+        if len(tolerances) > 1:
+            spread = list(spread)
+        scale = list(map(max, map(abs, float_a), map(abs, float_b)))
+        exact = bytearray(map(or_, map(eq, float_a, float_b), map((0.0).__eq__, scale)))
+        for tolerance in tolerances:
+            within = map(le, spread, map(tolerance.__mul__, scale))
+            ctx.cache[(raw, "close", tolerance)] = bytearray(map(or_, exact, within))
 
     def _is_same(self, ctx: PairContext, raw: str) -> bytearray:
         """The ``isSame = T`` mask of one raw feature."""
@@ -329,7 +337,17 @@ class PairKernel:
         self, ctx: PairContext, raw: str, level: FeatureLevel
     ) -> list[tuple[str, list]]:
         """Every derived (name, column) of one raw feature at a level, in
-        :func:`derived_names` order."""
+        :func:`derived_names` order.
+
+        A numeric raw feature's ``isSame`` and ``compare`` columns read
+        its closeness at two tolerances; both masks come from one pass
+        (:meth:`_cache_close`).
+        """
+        if level >= FeatureLevel.COMPARISON and self.block.column(raw).numeric:
+            config = self.config
+            self._cache_close(
+                ctx, raw, (config.is_same_tolerance, config.sim_threshold)
+            )
         return [
             (name, self.derived_column(ctx, raw, kind))
             for name, kind in derived_names(raw, level)
@@ -490,6 +508,22 @@ def pair_is_kept(first_id: str, second_id: str, salt: int, limit: int) -> bool:
     """
     state = crc32(first_id.encode("utf-8"), salt)
     return crc32(second_id.encode("utf-8"), state) < limit
+
+
+def kept_flags(
+    block: RecordBlock,
+    firsts: Sequence[int],
+    seconds: Sequence[int],
+    salt: int,
+    limit: int,
+) -> bytes:
+    """:func:`pair_is_kept` over index pairs of ``block``, one flag per
+    pair, at C level."""
+    id_bytes = block.id_bytes
+    states = map(crc32, map(id_bytes.__getitem__, firsts), repeat(salt))
+    return bytes(
+        map(limit.__gt__, map(crc32, map(id_bytes.__getitem__, seconds), states))
+    )
 
 
 def iter_candidate_batches(

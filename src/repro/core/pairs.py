@@ -39,11 +39,9 @@ these definitions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 from repro.core.features import (
     PERFORMANCE_METRIC,
-    FeatureKind,
     FeatureLevel,
     FeatureSchema,
 )

@@ -110,25 +110,32 @@ def evaluate_candidate_batch(
 
     Returns the surviving ``(first, second)`` index lists and the per-pair
     observed flags (``1`` = the pair satisfied the observed clause, ``0`` =
-    only the expected clause).  The despite clause prunes first, then the
-    observed and expected clauses run over the survivors sharing one gather
-    cache — the exact sequence of the serial path, extracted here so the
-    serial generator and the forked workers cannot drift apart.
+    only the expected clause).  The despite clause prunes one atom at a
+    time, in clause order: each atom is evaluated over the pairs the atoms
+    before it kept, and the pairs are compressed after every atom that
+    drops any (an atom that drops none keeps the context and its gathers).
+    Every mask is a per-pair function, so the survivors are those of the
+    whole conjunction.  The observed and expected clauses then run over
+    the survivors sharing one gather cache — the exact sequence of the
+    serial path, extracted here so the serial generator and the forked
+    workers cannot drift apart.
     """
     ctx = PairContext(firsts, seconds)
-    despite = kernel.predicate_mask(query.despite, ctx)
-    first_kept = list(compress(firsts, despite))
-    if not first_kept:
-        return [], [], bytearray()
-    second_kept = list(compress(seconds, despite))
-    ctx = PairContext(first_kept, second_kept)
+    for atom in query.despite.atoms:
+        kept = kernel.atom_mask(atom, ctx)
+        if 0 not in kept:
+            continue
+        firsts = list(compress(firsts, kept))
+        if not firsts:
+            return [], [], bytearray()
+        ctx = PairContext(firsts, list(compress(ctx.second, kept)))
     observed = kernel.predicate_mask(query.observed, ctx)
     expected = kernel.predicate_mask(query.expected, ctx)
     related = bytearray(map(or_, observed, expected))
-    related_firsts = list(compress(first_kept, related))
+    related_firsts = list(compress(ctx.first, related))
     if not related_firsts:
         return [], [], bytearray()
-    related_seconds = list(compress(second_kept, related))
+    related_seconds = list(compress(ctx.second, related))
     observed_flags = bytearray(compress(observed, related))
     return related_firsts, related_seconds, observed_flags
 

@@ -15,15 +15,22 @@ instead of the paper's ``jobID``, ``pig_script`` instead of ``pigscript``).
 
 from __future__ import annotations
 
-import math
 import random
 
-from repro.core.examples import Label, iter_related_pairs
+from repro.core.examples import (
+    PAIR_SEARCH_CANDIDATES,
+    PairPick,
+    no_pair_error,
+    observed_flags,
+    pair_kernel_for,
+    records_for_query,
+    related_index_batches,
+    validate_query_features,
+)
 from repro.core.features import FeatureSchema, infer_schema
 from repro.core.pairs import PairFeatureConfig
 from repro.core.pxql.ast import Comparison, Operator, Predicate
 from repro.core.pxql.query import EntityKind, PXQLQuery
-from repro.exceptions import ExplanationError
 from repro.logs.store import ExecutionLog
 
 #: Pair-feature value constants (duplicated here for readable query builders).
@@ -106,41 +113,32 @@ def find_pair_of_interest(
     schema: FeatureSchema | None = None,
     config: PairFeatureConfig | None = None,
     rng: random.Random | None = None,
-    max_candidate_pairs: int | None = 500_000,
+    max_candidate_pairs: int | None = PAIR_SEARCH_CANDIDATES,
 ) -> tuple[str, str]:
     """Pick a pair of executions that the query could legitimately be about.
 
     The pair must be related to the query and labeled OBSERVED (it satisfies
-    the despite and observed clauses).  Among all such pairs the one with the
-    largest runtime contrast (``|log(d1 / d2)|``) is returned, which gives
-    the evaluation a clear, reproducible pair of interest.
+    the despite and observed clauses).  Among all such pairs the first one
+    with the largest runtime contrast (``|log(d1 / d2)|``,
+    :func:`~repro.core.examples.highest_contrast`) is returned, which gives
+    the evaluation a clear, reproducible pair of interest.  A session reads
+    the same pick off its training matrix's pass
+    (:meth:`~repro.core.examples.TrainingMatrix.pair_of_interest`).
 
     :raises ExplanationError: if no pair in the log matches the query.
     """
-    from repro.core.examples import records_for_query
-
     rng = rng if rng is not None else random.Random(0)
-    records = records_for_query(log, query)
     if schema is None:
-        schema = infer_schema(records)
-    durations = {record.entity_id: record.duration for record in records}
-
-    best: tuple[str, str] | None = None
-    best_contrast = -1.0
-    for first, second, label in iter_related_pairs(
-        log, query, schema, config, max_candidate_pairs, rng
+        schema = infer_schema(records_for_query(log, query))
+    config = config if config is not None else PairFeatureConfig()
+    validate_query_features(query, schema)
+    kernel = pair_kernel_for(log, query, schema, config)
+    pick = PairPick(kernel.block.records)
+    for firsts, seconds, labels in related_index_batches(
+        kernel, query, max_candidate_pairs, rng
     ):
-        if label is not Label.OBSERVED:
-            continue
-        d1 = max(durations[first.entity_id], 1e-9)
-        d2 = max(durations[second.entity_id], 1e-9)
-        contrast = abs(math.log(d1 / d2))
-        if contrast > best_contrast:
-            best_contrast = contrast
-            best = (first.entity_id, second.entity_id)
-    if best is None:
-        raise ExplanationError(
-            f"no pair in the log satisfies the despite and observed clauses of "
-            f"query {query.name or str(query)!r}"
-        )
-    return best
+        pick.scan(firsts, seconds, observed_flags(labels))
+    pair = pick.ids()
+    if pair is None:
+        raise no_pair_error(query)
+    return pair

@@ -22,13 +22,14 @@ HTTP, or from the CLI, and for any ``pair_workers`` setting.
 
 from __future__ import annotations
 
-import math
 import random
+from operator import and_
 from typing import Iterable, Sequence
 
 from repro.core.api import PerfXplainSession
 from repro.core.examples import (
-    Label,
+    PairPick,
+    observed_flags,
     pair_kernel_for,
     related_index_batches,
     validate_query_features,
@@ -181,10 +182,11 @@ class DiffEngine:
 
         The same contrast rule as
         :func:`repro.core.queries.find_pair_of_interest` (max
-        ``|log(d1/d2)|``, strict improvement, first wins), restricted to
-        pairs whose members come from different runs with the *first* (the
-        slower, by OBSERVED = GT) in ``regressed_run``.  Returns namespaced
-        ids, or ``None`` when no cross-run pair satisfies the query.
+        ``|log(d1/d2)|``, strict improvement, first wins; the shared
+        :class:`~repro.core.examples.PairPick`), restricted to pairs whose
+        members come from different runs with the *first* (the slower, by
+        OBSERVED = GT) in ``regressed_run``.  Returns namespaced ids, or
+        ``None`` when no cross-run pair satisfies the query.
 
         Sharded via ``config.pair_workers``; the candidate stream is
         byte-identical for every worker count, so the selected pair is too.
@@ -193,12 +195,14 @@ class DiffEngine:
         schema = infer_schema(merged.jobs)
         validate_query_features(query, schema)
         kernel = pair_kernel_for(merged, query, schema, self.config.pair_config)
-        records = kernel.block.records
         boundary = self.view.job_boundary
-        regressed_is_after = regressed_run == AFTER_RUN
-
-        best: tuple[str, str] | None = None
-        best_contrast = -1.0
+        # Row indices below the boundary are before-jobs: the slower
+        # (first) member must sit in the regressed run, the other across.
+        if regressed_run == AFTER_RUN:
+            first_side, second_side = boundary.__le__, boundary.__gt__
+        else:
+            first_side, second_side = boundary.__gt__, boundary.__le__
+        pick = PairPick(kernel.block.records)
         for firsts, seconds, labels in related_index_batches(
             kernel,
             query,
@@ -206,21 +210,9 @@ class DiffEngine:
             random.Random(self.seed),
             workers=self.config.pair_workers,
         ):
-            for first, second, label in zip(firsts, seconds, labels):
-                if label is not Label.OBSERVED:
-                    continue
-                first_is_after = first >= boundary
-                if first_is_after == (second >= boundary):
-                    continue  # same-run pair: not a cross-run comparison
-                if first_is_after != regressed_is_after:
-                    continue  # slower member must come from the regressed run
-                d1 = max(records[first].duration, _EPSILON)
-                d2 = max(records[second].duration, _EPSILON)
-                contrast = abs(math.log(d1 / d2))
-                if contrast > best_contrast:
-                    best_contrast = contrast
-                    best = (records[first].entity_id, records[second].entity_id)
-        return best
+            cross = map(and_, map(first_side, firsts), map(second_side, seconds))
+            pick.scan(firsts, seconds, bytes(map(and_, observed_flags(labels), cross)))
+        return pick.ids()
 
     # ------------------------------------------------------------------ #
     # detectors and deltas

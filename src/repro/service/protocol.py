@@ -913,7 +913,7 @@ def parse_request(data: object) -> ServiceRequest:
     """Parse any wire-form request, dispatching on its ``type`` tag."""
     data = _require_mapping(data, "a service request")
     tag = data.get("type")
-    if tag not in _REQUEST_TYPES:
+    if not isinstance(tag, str) or tag not in _REQUEST_TYPES:
         known = ", ".join(sorted(_REQUEST_TYPES))
         raise ProtocolError(f"unknown request type {tag!r} (known: {known})")
     return _REQUEST_TYPES[tag].from_dict(data)
@@ -928,7 +928,7 @@ def parse_response(data: object) -> ServiceResponse:
     """Parse any wire-form response, dispatching on its ``type`` tag."""
     data = _require_mapping(data, "a service response")
     tag = data.get("type")
-    if tag not in _RESPONSE_TYPES:
+    if not isinstance(tag, str) or tag not in _RESPONSE_TYPES:
         known = ", ".join(sorted(_RESPONSE_TYPES))
         raise ProtocolError(f"unknown response type {tag!r} (known: {known})")
     return _RESPONSE_TYPES[tag].from_dict(data)

@@ -11,7 +11,8 @@ atom family (isSame/compare/diff/base, EQ/NE/ordering), plus capped
 candidate subsampling and the three feature levels.  It also pins the
 scalar one-pair vector (:func:`~repro.core.pairs.compute_pair_features`,
 which techniques use for the pair of interest) to a one-pair kernel
-context at every feature level.
+context at every feature level.  A case whose despite atoms never block
+checks the despite clause's atom-by-atom pruning against the reference.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ import pytest
 
 from repro.core.examples import (
     Label,
+    _blocked_raw,
+    _blocking_features,
     construct_training_matrix,
     encode_training_examples,
     iter_related_pairs,
@@ -167,6 +170,28 @@ class TestRelatedPairEquivalence:
                                              rng=random.Random(seed)))
         reference = pair_ids(iter_related_pairs_reference(log, query, schema,
                                                           max_candidate_pairs=50,
+                                                          rng=random.Random(seed)))
+        assert kernel == reference
+
+    @pytest.mark.parametrize("seed", DATASET_SEEDS[:24])
+    def test_non_blocking_despite_atoms_prune_one_at_a_time(self, seed):
+        """2-5 despite atoms, none of which blocks, so the kernel evaluates
+        every one, each over the pairs the atoms before it kept."""
+        log = random_log(seed)
+        schema = infer_schema(log.jobs)
+        rng = random.Random(seed * 13 + 5)
+        pool = [atom for atom in _despite_pool() if _blocked_raw(atom, schema) is None]
+        query = PXQLQuery(
+            entity=EntityKind.JOB,
+            despite=Predicate.conjunction(rng.sample(pool, rng.randint(2, 5))),
+            observed=Predicate.of(Comparison("duration_compare", Operator.EQ, "GT")),
+            expected=Predicate.of(Comparison("duration_compare", Operator.EQ, "SIM")),
+            name=f"unblocked-{seed}",
+        )
+        assert not _blocking_features(query, schema)
+        kernel = pair_ids(iter_related_pairs(log, query, schema,
+                                             rng=random.Random(seed)))
+        reference = pair_ids(iter_related_pairs_reference(log, query, schema,
                                                           rng=random.Random(seed)))
         assert kernel == reference
 

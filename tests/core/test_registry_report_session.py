@@ -3,6 +3,7 @@
 import gc
 import inspect
 import json
+import random
 import weakref
 
 import pytest
@@ -11,6 +12,7 @@ from repro.core.api import PerfXplain, PerfXplainSession
 from repro.core.explanation import Explanation, ExplanationMetrics
 from repro.core.pxql.ast import Comparison, Operator, Predicate, TRUE_PREDICATE
 from repro.core.pxql.query import BoundQuery
+from repro.core.queries import find_pair_of_interest
 from repro.core.registry import (
     call_explainer,
     create_explainer,
@@ -21,6 +23,7 @@ from repro.core.registry import (
 )
 from repro.core.report import Report, ReportEntry
 from repro.exceptions import ExplanationError, PXQLValidationError
+from repro.logs.records import JobRecord
 from repro.logs.store import ExecutionLog
 
 JOB_QUERY_TEXT = """
@@ -270,7 +273,16 @@ class TestSession:
     def test_find_pair_cached(self, small_log):
         session = PerfXplainSession(small_log)
         assert session.find_pair(JOB_QUERY_TEXT) == session.find_pair(JOB_QUERY_TEXT)
-        assert len(session._pair_cache) == 1
+        # The pick lives with the clause signature's matrix: one entry,
+        # built once and then read.
+        assert len(session._matrix_cache) == 1
+        stats = session.cache_stats()["matrices"]
+        assert (stats.misses, stats.hits) == (1, 1)
+        query = session.parse(JOB_QUERY_TEXT)
+        assert session.find_pair(query) == find_pair_of_interest(
+            small_log, query, schema=session.schema_for(query),
+            config=session.config.pair_config, rng=random.Random(0),
+        )
 
     def test_session_explanations_match_quality(self, small_log, job_query):
         session = PerfXplainSession(small_log)
@@ -325,15 +337,17 @@ class TestSession:
 class TestSessionCacheBounds:
     """The session's caches are bounded LRUs with observable counters."""
 
-    def test_cache_stats_names_every_cache(self, tiny_log):
-        session = PerfXplainSession(tiny_log)
+    def test_cache_stats_names_every_cache(self):
+        # A log of its own: ``record_blocks`` is the log's block cache,
+        # which a session-scoped fixture shares with every earlier test.
+        log = ExecutionLog(jobs=[
+            JobRecord(job_id=f"j{index}", features={"pig_script": "a.pig"},
+                      duration=1.0 + index)
+            for index in range(3)
+        ])
+        session = PerfXplainSession(log)
         stats = session.cache_stats()
-        assert set(stats) == {
-            "explanations",
-            "matrices",
-            "pairs",
-            "record_blocks",
-        }
+        assert set(stats) == {"explanations", "matrices", "record_blocks"}
         assert all(s.size == 0 for s in stats.values())
 
     def test_repeated_explain_hits_the_explanation_cache(self, tiny_log):

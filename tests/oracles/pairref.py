@@ -16,6 +16,13 @@ It exists for two reasons:
 * the pair-pipeline throughput benchmark measures the kernel path's speedup
   against it.
 
+It also keeps the pair-of-interest searches as they ran before the pick
+moved into one C-level helper (:func:`repro.core.examples.highest_contrast`):
+:func:`find_pair_of_interest_reference` and :func:`find_cross_pair_reference`
+walk the related pairs one at a time, and
+``tests/core/test_pair_of_interest.py`` checks the search, the diff and the
+training matrix's recorded pick against them.
+
 Two deliberate behaviours are *shared* with the live path rather than
 frozen, because they changed in the same refactor: the order-independent
 hash-based candidate subsampling (:func:`repro.core.pairkernel.pair_is_kept`)
@@ -33,6 +40,7 @@ on columns no log could produce.
 
 from __future__ import annotations
 
+import math
 import random
 from operator import attrgetter, itemgetter
 from types import SimpleNamespace
@@ -44,14 +52,19 @@ from repro.core.examples import (
     TrainingMatrix,
     _blocking_features,
     _PairFeatureMatrix,
+    iter_related_pairs,
+    pair_kernel_for,
+    related_index_batches,
     validate_query_features,
     records_for_query,
 )
-from repro.core.features import FeatureLevel, FeatureSchema
+from repro.core.features import FeatureLevel, FeatureSchema, infer_schema
 from repro.core.pairkernel import keep_limit, pair_is_kept, sampling_salt
 from repro.core.pairs import PairFeatureConfig, compute_pair_features
 from repro.core.pxql.query import PXQLQuery
 from repro.core.sampling import stratified_keep_indices
+from repro.diff.view import AFTER_RUN
+from repro.exceptions import ExplanationError
 from repro.logs.records import ExecutionRecord
 from repro.logs.store import ExecutionLog
 
@@ -121,6 +134,87 @@ def iter_related_pairs_reference(
                     yield first, second, Label.OBSERVED
                 elif expected:
                     yield first, second, Label.EXPECTED
+
+
+def find_pair_of_interest_reference(
+    log: ExecutionLog,
+    query: PXQLQuery,
+    schema: FeatureSchema | None = None,
+    config: PairFeatureConfig | None = None,
+    rng: random.Random | None = None,
+    max_candidate_pairs: int | None = 500_000,
+) -> tuple[str, str]:
+    """Pick the OBSERVED pair with the largest ``|log(d1 / d2)|``, one
+    related pair at a time (reference for
+    :func:`repro.core.queries.find_pair_of_interest`).
+
+    :raises ExplanationError: if no pair in the log matches the query.
+    """
+    rng = rng if rng is not None else random.Random(0)
+    records = records_for_query(log, query)
+    if schema is None:
+        schema = infer_schema(records)
+    durations = {record.entity_id: record.duration for record in records}
+
+    best: tuple[str, str] | None = None
+    best_contrast = -1.0
+    for first, second, label in iter_related_pairs(
+        log, query, schema, config, max_candidate_pairs, rng
+    ):
+        if label is not Label.OBSERVED:
+            continue
+        d1 = max(durations[first.entity_id], 1e-9)
+        d2 = max(durations[second.entity_id], 1e-9)
+        contrast = abs(math.log(d1 / d2))
+        if contrast > best_contrast:
+            best_contrast = contrast
+            best = (first.entity_id, second.entity_id)
+    if best is None:
+        raise ExplanationError(
+            f"no pair in the log satisfies the despite and observed clauses of "
+            f"query {query.name or str(query)!r}"
+        )
+    return best
+
+
+def find_cross_pair_reference(
+    engine: Any, query: PXQLQuery, regressed_run: str
+) -> tuple[str, str] | None:
+    """The highest-contrast OBSERVED pair across a diff's run boundary, one
+    related pair at a time (reference for
+    :meth:`repro.diff.engine.DiffEngine.find_cross_pair`)."""
+    merged = engine.view.merged
+    schema = infer_schema(merged.jobs)
+    validate_query_features(query, schema)
+    kernel = pair_kernel_for(merged, query, schema, engine.config.pair_config)
+    records = kernel.block.records
+    boundary = engine.view.job_boundary
+    regressed_is_after = regressed_run == AFTER_RUN
+
+    best: tuple[str, str] | None = None
+    best_contrast = -1.0
+    for firsts, seconds, labels in related_index_batches(
+        kernel,
+        query,
+        engine.max_candidate_pairs,
+        random.Random(engine.seed),
+        workers=engine.config.pair_workers,
+    ):
+        for first, second, label in zip(firsts, seconds, labels):
+            if label is not Label.OBSERVED:
+                continue
+            first_is_after = first >= boundary
+            if first_is_after == (second >= boundary):
+                continue  # same-run pair: not a cross-run comparison
+            if first_is_after != regressed_is_after:
+                continue  # slower member must come from the regressed run
+            d1 = max(records[first].duration, 1e-9)
+            d2 = max(records[second].duration, 1e-9)
+            contrast = abs(math.log(d1 / d2))
+            if contrast > best_contrast:
+                best_contrast = contrast
+                best = (records[first].entity_id, records[second].entity_id)
+    return best
 
 
 def construct_training_examples_reference(

@@ -27,6 +27,7 @@ from repro.service.protocol import (
     error_code_for,
     parse_request,
     parse_request_json,
+    parse_response,
     parse_response_json,
 )
 
@@ -115,6 +116,16 @@ class TestRequestRoundTrips:
     def test_unknown_request_type_rejected(self):
         with pytest.raises(ProtocolError, match="unknown request type"):
             parse_request({"type": "mystery", "protocol_version": PROTOCOL_VERSION})
+
+    @pytest.mark.parametrize("tag", [[1], {}, {"a": 1}, None, 7])
+    def test_non_string_request_type_rejected(self, tag):
+        with pytest.raises(ProtocolError, match="unknown request type"):
+            parse_request({"type": tag, "protocol_version": PROTOCOL_VERSION})
+
+    @pytest.mark.parametrize("tag", [[1], {}, {"a": 1}, None, 7])
+    def test_non_string_response_type_rejected(self, tag):
+        with pytest.raises(ProtocolError, match="unknown response type"):
+            parse_response({"type": tag, "protocol_version": PROTOCOL_VERSION})
 
     def test_non_object_rejected(self):
         with pytest.raises(ProtocolError):
