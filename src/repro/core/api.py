@@ -40,11 +40,10 @@ from repro.core.examples import (
     TrainingMatrix,
     construct_training_matrix,
     find_record,
-    records_for_query,
 )
 from repro.core.explanation import Explanation
 from repro.core.explainer import PerfXplainConfig, PerfXplainExplainer
-from repro.core.features import FeatureSchema, infer_schema
+from repro.core.features import FeatureSchema, SchemaFold
 from repro.core.pairs import compute_pair_features
 from repro.core.pxql import BoundQuery, PXQLQuery, Predicate, parse_query
 from repro.core.queries import find_pair_of_interest
@@ -86,7 +85,9 @@ class PerfXplain:
         self.log = log
         self.config = config if config is not None else PerfXplainConfig()
         self._seed = seed
-        self._schemas: dict[str, FeatureSchema] = {}
+        #: Kind -> the ``(epoch, count)`` of the records folded in, the
+        #: fold and its schema.
+        self._schemas: dict[str, tuple[tuple[int, int], SchemaFold, FeatureSchema]] = {}
         self._technique_instances: dict[str, Explainer] = {}
         #: Guards lazy creation of schemas, technique instances and the
         #: per-technique call locks under concurrent readers.
@@ -201,26 +202,39 @@ class PerfXplain:
     # ------------------------------------------------------------------ #
 
     def schema_for(self, query: PXQLQuery) -> FeatureSchema:
-        """The raw-feature schema for the query's entity kind (cached).
+        """The raw-feature schema for the query's entity kind, kept current.
 
-        Double-checked under the facade lock: concurrent readers racing a
-        cold kind infer the schema once.
+        Per kind the facade keeps :func:`~repro.core.features.infer_schema`'s
+        fold state (:class:`~repro.core.features.SchemaFold`) and the
+        ``(epoch, count)`` of the records it covers.  Records appended since
+        are folded in; an epoch move starts the fold over.  While the result
+        is unchanged the fold returns the same schema object, so the record
+        block cached under it is still found.  Double-checked under the
+        facade lock: concurrent readers racing a cold or grown kind fold
+        once.
         """
-        key = query.entity.value
-        schema = self._schemas.get(key)
-        if schema is not None:
-            return schema
+        kind = query.entity.value
+        epoch, _, count = self.log.mutation_snapshot()[kind]
+        state = (epoch, count)
+        entry = self._schemas.get(kind)
+        if entry is not None and entry[0] == state:
+            return entry[2]
         with self._facade_lock:
-            schema = self._schemas.get(key)
-            if schema is not None:
-                return schema
-            records = records_for_query(self.log, query)
-            if not records:
+            entry = self._schemas.get(kind)
+            if entry is not None and entry[0] == state:
+                return entry[2]
+            if not count:
                 raise ExplanationError(
-                    f"the log contains no {key} records; cannot answer {key}-level queries"
+                    f"the log contains no {kind} records; cannot answer {kind}-level queries"
                 )
-            schema = infer_schema(records)
-            self._schemas[key] = schema
+            records = self.log.jobs if kind == "job" else self.log.tasks
+            if entry is None or entry[0][0] != epoch or entry[0][1] > count:
+                fold, start = SchemaFold(), 0
+            else:
+                fold, start = entry[1], entry[0][1]
+            fold.add(records[start:count])
+            schema = fold.schema()
+            self._schemas[kind] = (state, fold, schema)
             return schema
 
     def technique(self, name: str) -> Explainer:
@@ -279,9 +293,9 @@ class PerfXplainSession(PerfXplain):
     signature* — the (entity, despite, observed, expected) quadruple —
     which is what the training examples actually depend on (not the pair
     of interest), so N queries with shared clauses pay for one
-    construction and one encoding.  The pass that builds a matrix also
-    picks the signature's pair of interest, so a ``?`` question filters
-    its candidates once.
+    construction and one encoding.  A matrix keeps the related-pair stream
+    its pass produced, and the signature's pair of interest is read off
+    it, so a ``?`` question filters its candidates once.
 
     All caching is deterministic: the session derives every random
     generator from its seed, so a session answers a fixed query list
@@ -294,10 +308,12 @@ class PerfXplainSession(PerfXplain):
     The session tracks the log's per-kind mutation state
     (:meth:`~repro.logs.store.ExecutionLog.mutation_snapshot`) as a
     high-water mark.  When records are *appended* (live, growing logs),
-    only the cache entries whose clause signature touches the grown
-    record kind are discarded — a task append leaves every job-level
-    explanation, matrix (with its pair of interest) and schema untouched.
-    In-place replacement or an explicit
+    the work costs what the append costs: the kind's schema folds in the
+    new records, each of the kind's matrices extends its related-pair
+    stream with the candidates that touch them on its next use, and only
+    the explanations over the grown kind are discarded — a task append
+    leaves every job-level explanation and matrix untouched.  In-place
+    replacement or an explicit
     :meth:`~repro.logs.store.ExecutionLog.invalidate_caches` moves the
     epoch instead, which drops everything: history changed, so nothing
     derived from it can be trusted.
@@ -438,17 +454,25 @@ class PerfXplainSession(PerfXplain):
         quadruple the examples actually depend on — so N queries sharing
         clauses pay for one construction and, per column read, one
         derivation and one global sort.
-        Entries for a record kind are discarded when the log grows (or
-        changes) that kind; see the class docstring.
+        An entry is extended when the log grows its kind, and discarded
+        when the kind's history changes; see the class docstring.
         """
         return self._matrix_for(self.resolve(query))
 
     def _matrix_for(self, query: PXQLQuery) -> TrainingMatrix:
         """The cached, single-flighted matrix of a query's clause signature
-        (the pair of interest plays no part, so ``?`` queries have one)."""
+        (the pair of interest plays no part, so ``?`` queries have one).
+
+        Once records of its kind were appended, the entry is the matrix's
+        related-pair stream alone (:meth:`_invalidate_kind`); it is passed
+        to :func:`~repro.core.examples.construct_training_matrix`, which
+        extends it with the appended rows' candidates instead of filtering
+        every candidate again.
+        """
         key = self._clause_signature(query)
         matrix = self._matrix_cache.get(key)
-        if matrix is None:
+        if not isinstance(matrix, TrainingMatrix):
+            previous = matrix
 
             def build() -> TrainingMatrix:
                 built = construct_training_matrix(
@@ -460,6 +484,7 @@ class PerfXplainSession(PerfXplain):
                     rng=random.Random(self._seed),
                     feature_level=self.config.feature_level,
                     workers=self.config.pair_workers,
+                    previous=previous,
                 )
                 self._matrix_cache.put(key, built)
                 return built
@@ -538,10 +563,19 @@ class PerfXplainSession(PerfXplain):
             self._log_snapshot = snapshot
 
     def _invalidate_kind(self, kind: str) -> None:
-        """Discard everything derived from one record kind's contents."""
-        self._schemas.pop(kind, None)
-        self._matrix_cache.discard_if(lambda key: key[0] == kind)
+        """Discard what one record kind's growth made stale.
+
+        The kind's explanations go.  Each of its matrices is swapped for
+        its related-pair stream, which the next build over the grown log
+        extends (:meth:`_matrix_for`); the sample and its derived columns
+        are released.  The kind's schema folds the appended records in on
+        its next use (:meth:`schema_for`).
+        """
         self._explanation_cache.discard_if(lambda key: key[0][0] == kind)
+        self._matrix_cache.replace_if(
+            lambda key: key[0] == kind,
+            lambda entry: entry.stream if isinstance(entry, TrainingMatrix) else entry,
+        )
         self._append_invalidations += 1
 
     def _invalidate_all(self) -> None:

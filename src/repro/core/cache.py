@@ -152,6 +152,18 @@ class LRUCache:
                 del self._entries[key]
             return len(stale)
 
+    def replace_if(
+        self, predicate: Callable[[Hashable], bool], replace: Callable[[Any], Any]
+    ) -> int:
+        """Swap the value of every entry whose key satisfies ``predicate``
+        for ``replace(value)``, keeping its recency.  Returns the number of
+        entries swapped; nothing is counted."""
+        with self._lock:
+            keys = [key for key in self._entries if predicate(key)]
+            for key in keys:
+                self._entries[key] = replace(self._entries[key])
+            return len(keys)
+
     def clear(self) -> None:
         """Drop every entry (counters keep accumulating)."""
         with self._lock:

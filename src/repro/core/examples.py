@@ -21,7 +21,9 @@ the three clauses as vectorised masks over batched candidate index pairs —
 no per-pair feature dict is ever allocated while filtering.
 :func:`construct_training_matrix` keeps the balanced sample as index pairs
 in a :class:`TrainingMatrix`, which derives the sampled pairs' feature
-columns through the kernel only when a technique first reads them.  The
+columns through the kernel only when a technique first reads them, beside
+the whole related-pair stream (:class:`PairStream`) that a build after an
+append extends with the appended rows' candidates.  The
 original pair-at-a-time dict path is preserved verbatim in
 ``tests/oracles/pairref.py`` as the reference implementation the
 differential suite checks this pipeline against.
@@ -32,10 +34,12 @@ from __future__ import annotations
 import enum
 import random
 import threading
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import chain, compress, repeat
-from math import log
-from operator import and_, attrgetter, is_, is_not, truediv
+from itertools import chain, compress, count, islice, repeat
+from math import inf, log
+from operator import and_, attrgetter, is_, is_not, ne, truediv
 from typing import Any, Callable, Iterator, Sequence
 
 from repro.ml.matrix import FeatureColumn, FeatureMatrix, flags_to_bits
@@ -167,7 +171,8 @@ def related_index_batches(
     max_candidate_pairs: int | None,
     rng: random.Random,
     workers: int = 1,
-    on_total: Callable[[int], None] | None = None,
+    on_groups: Callable[[list[list[int]], int], None] | None = None,
+    since: int = 0,
 ) -> Iterator[tuple[list[int], list[int], list[Label]]]:
     """Related pairs as labeled index batches, in candidate order.
 
@@ -187,9 +192,16 @@ def related_index_batches(
         (:func:`~repro.core.pairshard.iter_evaluated_batches`) — the yielded
         stream is byte-identical for every worker count, because candidate
         order and the CRC32 sampling rule are both order-independent.
-    :param on_total: called with the blocked candidate count before the
-        stream draws its salt from ``rng``, so a caller can work out which
-        pairs a pass under another cap would keep.
+    :param on_groups: called with the blocking groups and their candidate
+        count before the stream draws its salt from ``rng``, so a caller can
+        work out which pairs a pass under another cap would keep, and where
+        pairs sit in a fresh enumeration.
+    :param since: yield only the pairs of candidates that touch a row at or
+        past ``since``, in the same order: what a stream over the block's
+        first ``since`` rows lacks (:class:`PairStream`).  A capped pass
+        keeps a candidate by a limit that depends on the candidate count,
+        so no stream over fewer rows holds its pairs: it enumerates every
+        candidate, whatever ``since`` says.
     """
     from repro.core.pairshard import iter_evaluated_batches
 
@@ -199,13 +211,14 @@ def related_index_batches(
     groups = blocking_group_indices(block, blocking)
 
     total_candidates = sum(len(group) * (len(group) - 1) for group in groups)
-    if on_total is not None:
-        on_total(total_candidates)
+    if on_groups is not None:
+        on_groups(groups, total_candidates)
     salt: int | None = None
     limit = 0
     if max_candidate_pairs is not None and total_candidates > max_candidate_pairs:
         salt = sampling_salt(rng)
         limit = keep_limit(max_candidate_pairs, total_candidates)
+        since = 0
 
     if workers >= 2:
         # Build every column the clauses read *before* submitting: workers
@@ -223,7 +236,13 @@ def related_index_batches(
     )
     label_by_observed = (Label.EXPECTED, Label.OBSERVED)
     for firsts, seconds, observed in iter_evaluated_batches(
-        kernel, query.with_despite(unblocked), groups, salt, limit, workers=workers
+        kernel,
+        query.with_despite(unblocked),
+        groups,
+        salt,
+        limit,
+        workers=workers,
+        since=since,
     ):
         labels = list(map(label_by_observed.__getitem__, observed))
         yield firsts, seconds, labels
@@ -278,6 +297,11 @@ _MIN_DURATION = 1e-9
 _duration_of = attrgetter("duration")
 
 
+def _contrast(ratio: float) -> float:
+    """``abs(log(ratio))``, with a zero ratio ranked infinite."""
+    return abs(log(ratio)) if ratio else inf
+
+
 def highest_contrast(
     records: Sequence[ExecutionRecord],
     firsts: Sequence[int],
@@ -288,23 +312,27 @@ def highest_contrast(
 
     A pair's contrast is ``abs(log(max(d1, 1e-9) / max(d2, 1e-9)))`` over
     its records' durations, gathered and mapped at C level.  It keeps the
-    division form: ``log(d1) - log(d2)`` can round differently.  Returns
-    the position of the first pair whose contrast is the largest and
-    greater than ``best``, with that contrast, or ``(-1, best)``.  ``max``
-    replaces its running maximum only with a greater item, so a NaN
-    contrast never wins and the first of tied pairs does.  A zero ratio
-    (a finite duration over an infinite one) raises ``math.log``'s
-    :class:`ValueError`.
+    division form: ``log(d1) - log(d2)`` can round differently.  A zero
+    ratio (a finite duration over an infinite one) ranks infinite, like
+    the reverse pair's infinite ratio.  Returns the position of the first
+    pair whose contrast is the largest and greater than ``best``, with that
+    contrast, or ``(-1, best)``.  ``max`` replaces its running maximum only
+    with a greater item, so a NaN contrast never wins and the first of tied
+    pairs does.
     """
-    contrasts = list(
-        map(abs, map(log, map(
+    ratios = list(
+        map(
             truediv,
             map(max, map(_duration_of, map(records.__getitem__, firsts)),
                 repeat(_MIN_DURATION)),
             map(max, map(_duration_of, map(records.__getitem__, seconds)),
                 repeat(_MIN_DURATION)),
-        )))
+        )
     )
+    try:
+        contrasts = list(map(abs, map(log, ratios)))
+    except ValueError:  # a zero ratio: ``math.log`` rejects it
+        contrasts = list(map(_contrast, ratios))
     top = max(chain((best,), contrasts))
     if top > best:
         return contrasts.index(top), top
@@ -356,96 +384,222 @@ class PairPick:
         return self.records[first].entity_id, self.records[second].entity_id
 
 
-class _SearchPick(PairPick):
-    """The pick :func:`~repro.core.queries.find_pair_of_interest` makes,
-    read off a matrix pass over the same clauses and rng state.
+#: Row indices of a kept stream, four bytes each (a log of 2**31 records
+#: would not fit in memory).
+_ROWS = "i"
+
+#: :attr:`PairStream.pick`'s value before the pick is made.
+_UNPICKED = object()
+
+
+class PairStream:
+    """A clause signature's whole related-pair stream, kept for appends.
+
+    The related pairs in candidate order
+    (:func:`~repro.core.pairkernel.iter_candidate_batches`): row-index
+    arrays and one observed byte per pair.  The stream also records what
+    it was built on — the record block, the kind's epoch and the block's
+    row count — and its blocked candidate count.
+
+    Enumeration runs group by group and, within a group, first row by
+    first row, so one first row's pairs form one run and the runs follow
+    the rows' enumeration rank.  An append only adds rows at the end of
+    their groups and new groups after the old ones, so the old rows keep
+    their relative rank and a grown log's stream is this one with each
+    new run spliced in after the runs ranked before it
+    (:func:`related_stream`), found by bisecting :attr:`firsts` under the
+    grown enumeration's rank.
+
+    The pair of interest (:meth:`pick`) is read off the stream on first
+    use: the pair-of-interest search scans the stream's OBSERVED pairs, or
+    those :func:`~repro.core.pairkernel.pair_is_kept` accepts under
+    :attr:`search` when the candidates pass its cap.
+    """
+
+    __slots__ = (
+        "firsts",
+        "seconds",
+        "observed",
+        "block",
+        "epoch",
+        "count",
+        "total",
+        "search",
+        "_pick",
+    )
+
+    def __init__(
+        self,
+        firsts: array,
+        seconds: array,
+        observed: bytearray,
+        block: RecordBlock,
+        epoch: int,
+        count: int,
+        total: int,
+        search: tuple[int, int] | None,
+    ) -> None:
+        self.firsts = firsts
+        self.seconds = seconds
+        #: Per-pair flag: the pair performed as observed.
+        self.observed = observed
+        self.block = block
+        #: The kind's epoch and the block's row count the stream covers.
+        self.epoch = epoch
+        self.count = count
+        #: The blocked candidates the stream was filtered from.
+        self.total = total
+        #: The salt and limit of the pairs the pair-of-interest search
+        #: scans, or ``None`` when it scans every pair.
+        self.search = search
+        self._pick: Any = _UNPICKED
+
+    def pick(self) -> tuple[str, str] | None:
+        """The entity ids :func:`~repro.core.queries.find_pair_of_interest`
+        picks for the stream's clauses under the same rng state, or ``None``
+        when no pair it scans is OBSERVED; made on first call."""
+        pick = self._pick
+        if pick is _UNPICKED:
+            keep = self.observed
+            if self.search is not None:
+                salt, limit = self.search
+                searched = kept_flags(self.block, self.firsts, self.seconds, salt, limit)
+                keep = bytes(map(and_, keep, searched))
+            scan = PairPick(self.block.records)
+            scan.scan(self.firsts, self.seconds, keep)
+            pick = self._pick = scan.ids()
+        return pick
+
+
+def _search_subset(
+    total: int, max_candidate_pairs: int | None, rng: random.Random
+) -> tuple[int, int] | None:
+    """The salt and limit of the pairs the pair-of-interest search scans.
 
     The search's cap is :data:`PAIR_SEARCH_CANDIDATES`, or the pass's own
     cap when that is lower.  When the blocked candidates exceed it, the
     search scans the pairs :func:`~repro.core.pairkernel.pair_is_kept`
     accepts under its limit and a salt drawn as the first
-    ``getrandbits(32)`` of ``rng`` — the salt a capped pass draws too —
-    so those pairs of the pass are the search's whole stream.  The salt is
-    drawn from a copy: the pass's own rng does not move.  A
-    :class:`ValueError` from :func:`highest_contrast` is what the search
-    raises; it ends the scan and becomes the result.
+    ``getrandbits(32)`` of ``rng`` — the salt a capped pass draws too — so
+    those pairs of a pass are the search's whole stream.  The salt is drawn
+    from a copy: ``rng`` does not move.
     """
+    cap = (
+        PAIR_SEARCH_CANDIDATES
+        if max_candidate_pairs is None
+        else min(PAIR_SEARCH_CANDIDATES, max_candidate_pairs)
+    )
+    if total <= cap:
+        return None
+    probe = random.Random()
+    probe.setstate(rng.getstate())
+    return sampling_salt(probe), keep_limit(cap, total)
 
-    __slots__ = ("block", "rng", "cap", "salt", "limit", "error")
 
-    def __init__(
-        self, block: RecordBlock, max_candidate_pairs: int | None, rng: random.Random
-    ) -> None:
-        super().__init__(block.records)
-        self.block = block
-        self.rng = rng
-        self.cap = (
-            PAIR_SEARCH_CANDIDATES
-            if max_candidate_pairs is None
-            else min(PAIR_SEARCH_CANDIDATES, max_candidate_pairs)
-        )
-        self.salt: int | None = None
-        self.limit = 0
-        self.error: ValueError | None = None
+def _spliced(
+    base: PairStream,
+    groups: Sequence[Sequence[int]],
+    firsts: array,
+    seconds: array,
+    observed: bytearray,
+) -> tuple[array, array, bytearray]:
+    """``base`` with a delta stream's runs spliced in where a fresh
+    enumeration over ``groups`` puts them.
 
-    def start(self, total_candidates: int) -> None:
-        """Draw the search's salt and limit if it is capped."""
-        if total_candidates > self.cap:
-            probe = random.Random()
-            probe.setstate(self.rng.getstate())
-            self.salt = sampling_salt(probe)
-            self.limit = keep_limit(self.cap, total_candidates)
+    Both streams are in enumeration order.  Each delta run (one first
+    row's pairs) goes after the base's runs of every first row ranked up to
+    its own: an old first row's new pairs follow its old pairs, a new first
+    row's pairs follow its group's old pairs, and new groups follow the old
+    ones.  The arrays are copied slice by slice at C level.
+    """
+    if not firsts:
+        return base.firsts, base.seconds, base.observed
+    rank = dict(zip(chain.from_iterable(groups), count())).__getitem__
+    old_firsts, old_seconds, old_observed = base.firsts, base.seconds, base.observed
+    merged_firsts, merged_seconds = array(_ROWS), array(_ROWS)
+    merged_observed = bytearray()
+    starts = [0, *compress(count(1), map(ne, islice(firsts, 1, None), firsts))]
+    done = 0
+    for start, end in zip(starts, [*starts[1:], len(firsts)]):
+        at = bisect_right(old_firsts, rank(firsts[start]), done, key=rank)
+        merged_firsts += old_firsts[done:at]
+        merged_firsts += firsts[start:end]
+        merged_seconds += old_seconds[done:at]
+        merged_seconds += seconds[start:end]
+        merged_observed += old_observed[done:at]
+        merged_observed += observed[start:end]
+        done = at
+    merged_firsts += old_firsts[done:]
+    merged_seconds += old_seconds[done:]
+    merged_observed += old_observed[done:]
+    return merged_firsts, merged_seconds, merged_observed
 
-    def scan_labeled(
-        self, firsts: Sequence[int], seconds: Sequence[int], labels: Sequence[Label]
-    ) -> None:
-        """Consider one batch's OBSERVED pairs that the search scans."""
-        if self.error is not None:
-            return
-        keep = observed_flags(labels)
-        if self.salt is not None:
-            searched = kept_flags(self.block, firsts, seconds, self.salt, self.limit)
-            keep = bytes(map(and_, keep, searched))
-        try:
-            self.scan(firsts, seconds, keep)
-        except ValueError as error:
-            self.error = error
 
-    def result(self) -> tuple[str, str] | ValueError | None:
-        """The picked ids, the search's error, or ``None``."""
-        return self.error if self.error is not None else self.ids()
+def related_stream(
+    kernel: PairKernel,
+    query: PXQLQuery,
+    max_candidate_pairs: int | None,
+    rng: random.Random,
+    epoch: int,
+    base: PairStream | None = None,
+    workers: int = 1,
+) -> PairStream:
+    """A query's whole related-pair stream over ``kernel``'s block.
+
+    With ``base``, a stream of the same clauses, config and cap built over
+    an earlier state of the block, only the candidates that touch rows
+    appended since are filtered, and their pairs are spliced into the base
+    (:func:`_spliced`): the result is byte for byte the stream a fresh
+    enumeration gives.  It restarts from empty — a fresh build is the
+    extension of an empty stream — when the base covers another epoch or
+    another block (a changed schema, or a block rebuilt rather than
+    extended), and when the blocked candidates exceed the cap
+    (:func:`related_index_batches` then enumerates every candidate).
+    ``rng`` moves only if the cap is reached.
+    """
+    block = kernel.block
+    rows = len(block)
+    extend = base is not None and base.block is block and base.epoch == epoch
+    groups: list[list[int]] = []
+    total = 0
+    search: tuple[int, int] | None = None
+
+    def on_groups(blocked: list[list[int]], candidates: int) -> None:
+        nonlocal groups, total, search
+        groups, total = blocked, candidates
+        search = _search_subset(candidates, max_candidate_pairs, rng)
+
+    firsts, seconds = array(_ROWS), array(_ROWS)
+    observed = bytearray()
+    for batch_firsts, batch_seconds, batch_labels in related_index_batches(
+        kernel, query, max_candidate_pairs, rng,
+        workers=workers, on_groups=on_groups, since=base.count if extend else 0,
+    ):
+        firsts.extend(batch_firsts)
+        seconds.extend(batch_seconds)
+        observed += observed_flags(batch_labels)
+    capped = max_candidate_pairs is not None and total > max_candidate_pairs
+    if extend and not capped:
+        firsts, seconds, observed = _spliced(base, groups, firsts, seconds, observed)
+    return PairStream(firsts, seconds, observed, block, epoch, rows, total, search)
 
 
 def _sampled_index_pairs(
-    kernel: PairKernel,
-    query: PXQLQuery,
-    sample_size: int | None,
-    max_candidate_pairs: int | None,
-    rng: random.Random,
-    workers: int = 1,
-) -> tuple[list[int], list[int], list[Label], tuple[str, str] | ValueError | None]:
-    """Collect the related index pairs, pick the pair of interest from
-    them (:class:`_SearchPick`) and balanced-sample them."""
-    from repro.core.sampling import stratified_keep_indices  # local: avoids a cycle
+    stream: PairStream, sample_size: int | None, rng: random.Random
+) -> tuple[list[int], list[int], bytearray]:
+    """Balanced-sample a related-pair stream (Section 4.3)."""
+    from repro.core.sampling import stratified_keep_indices  # local: looked up per call
 
-    pick = _SearchPick(kernel.block, max_candidate_pairs, rng)
-    firsts: list[int] = []
-    seconds: list[int] = []
-    labels: list[Label] = []
-    for batch_firsts, batch_seconds, batch_labels in related_index_batches(
-        kernel, query, max_candidate_pairs, rng, workers=workers, on_total=pick.start
-    ):
-        pick.scan_labeled(batch_firsts, batch_seconds, batch_labels)
-        firsts.extend(batch_firsts)
-        seconds.extend(batch_seconds)
-        labels.extend(batch_labels)
+    firsts, seconds, observed = stream.firsts, stream.seconds, stream.observed
     if sample_size is not None:
-        kept = stratified_keep_indices(labels, sample_size, rng)
+        kept = stratified_keep_indices(observed, sample_size, rng)
         if kept is not None:
-            firsts = [firsts[index] for index in kept]
-            seconds = [seconds[index] for index in kept]
-            labels = [labels[index] for index in kept]
-    return firsts, seconds, labels, pick.result()
+            return (
+                list(map(firsts.__getitem__, kept)),
+                list(map(seconds.__getitem__, kept)),
+                bytearray(map(observed.__getitem__, kept)),
+            )
+    return list(firsts), list(seconds), bytearray(observed)
 
 
 #: Observed flag -> label.
@@ -624,21 +778,23 @@ class TrainingMatrix:
     growth or another, never a mix; the entry goes with the matrix when a
     cache evicts or invalidates it.
 
-    The pass that filtered the pairs also picked the clause signature's
-    pair of interest (:meth:`pair_of_interest`), so a ``?`` question costs
-    one pass over the candidates, not a search and then a build.
+    The matrix keeps the whole related-pair stream it sampled from
+    (:attr:`stream`), so a ``?`` question reads its pair of interest off
+    the one pass over the candidates (:meth:`pair_of_interest`), and a
+    build after an append extends the stream instead of filtering every
+    candidate again (:func:`construct_training_matrix`).
 
     ``len()`` is the number of examples, so an empty matrix is falsy.
     """
 
-    __slots__ = ("matrix", "observed", "encoding", "pick", "growths", "_expected")
+    __slots__ = ("matrix", "observed", "encoding", "stream", "growths", "_expected")
 
     def __init__(
         self,
         matrix: _PairFeatureMatrix,
         observed: bytearray,
         encoding: tuple | None,
-        pick: tuple[str, str] | ValueError | None = None,
+        stream: PairStream | None = None,
     ) -> None:
         #: Columnar encoding of the catalog's pair features (deferred).
         self.matrix = matrix
@@ -649,10 +805,8 @@ class TrainingMatrix:
         #: :func:`encode_training_examples` so a matrix encoded for one
         #: configuration is never silently reused under another.
         self.encoding = encoding
-        #: What :func:`~repro.core.queries.find_pair_of_interest` returns
-        #: for the matrix's clauses: the picked record ids, ``None`` when no
-        #: pair it scans is OBSERVED, or the :class:`ValueError` it raises.
-        self.pick = pick
+        #: The related-pair stream the examples were sampled from.
+        self.stream = stream
         #: Positive label -> the latest clause growth over this matrix.
         self.growths: dict[Label, Any] = {}
         self._expected: bytearray | None = None
@@ -664,13 +818,11 @@ class TrainingMatrix:
     def pair_of_interest(self, query: PXQLQuery) -> tuple[str, str]:
         """The pair of interest of ``query``, a question with this matrix's
         clauses, exactly as :func:`~repro.core.queries.find_pair_of_interest`
-        picks it under the same rng state.
+        picks it under the same rng state (:meth:`PairStream.pick`).
 
         :raises ExplanationError: if no related pair is OBSERVED.
         """
-        pick = self.pick
-        if isinstance(pick, ValueError):
-            raise ValueError(*pick.args)
+        pick = self.stream.pick()
         if pick is None:
             raise no_pair_error(query)
         return pick
@@ -798,6 +950,7 @@ def construct_training_matrix(
     max_candidate_pairs: int | None = 2_000_000,
     feature_level: FeatureLevel = FeatureLevel.FULL,
     workers: int = 1,
+    previous: PairStream | None = None,
 ) -> TrainingMatrix:
     """Construct (and balanced-sample) a query's :class:`TrainingMatrix`.
 
@@ -805,11 +958,18 @@ def construct_training_matrix(
     through the vectorised kernels, then keep a balanced sample of at most
     ``sample_size`` of them.  Pair features are derived later, column by
     column and only for the sampled pairs, as techniques read them.  The
-    same pass picks the clauses' pair of interest
-    (:meth:`TrainingMatrix.pair_of_interest`) without moving ``rng``.
+    matrix keeps the whole related-pair stream, from which it reads the
+    clauses' pair of interest (:meth:`TrainingMatrix.pair_of_interest`)
+    without moving ``rng``.
 
     :param workers: process-shard the candidate filtering across this many
         forked workers (results are bit-identical for every count).
+    :param previous: the related-pair stream (:attr:`TrainingMatrix.stream`)
+        of a matrix this function built for the same clauses and arguments
+        over an earlier state of ``log``.  When only appends happened since,
+        it is extended with the pairs of the candidates that touch the new
+        rows (:func:`related_stream`); sampling and the pick then run over
+        the merged stream, and the result equals a fresh build's.
     :returns: the sampled training matrix (possibly empty if no pair in the
         log is related to the query).
     """
@@ -817,13 +977,14 @@ def construct_training_matrix(
     rng = rng if rng is not None else random.Random(0)
     validate_query_features(query, schema)
     kernel = pair_kernel_for(log, query, schema, config)
-    firsts, seconds, labels, pick = _sampled_index_pairs(
-        kernel, query, sample_size, max_candidate_pairs, rng, workers=workers
+    epoch = log.mutation_snapshot()[query.entity.value][0]
+    stream = related_stream(
+        kernel, query, max_candidate_pairs, rng, epoch, base=previous, workers=workers
     )
-    observed = bytearray(1 if label is Label.OBSERVED else 0 for label in labels)
+    firsts, seconds, observed = _sampled_index_pairs(stream, sample_size, rng)
     catalog, encoding = _encoding_of(schema, config, feature_level)
     return TrainingMatrix(
-        _PairFeatureMatrix(catalog, kernel, firsts, seconds), observed, encoding, pick
+        _PairFeatureMatrix(catalog, kernel, firsts, seconds), observed, encoding, stream
     )
 
 
@@ -847,5 +1008,5 @@ def encode_training_examples(
     if matrix.encoding == encoding:
         return matrix
     return TrainingMatrix(
-        matrix.matrix.with_catalog(catalog), matrix.observed, encoding, matrix.pick
+        matrix.matrix.with_catalog(catalog), matrix.observed, encoding, matrix.stream
     )

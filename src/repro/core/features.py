@@ -119,6 +119,68 @@ def _value_is_numeric(value: FeatureValue) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+class SchemaFold:
+    """:func:`infer_schema` as a fold that takes records a batch at a time.
+
+    A feature stays numeric while every value folded in is numeric, and
+    features keep their first-occurrence order, so folding a log's records
+    in any batching gives the schema one pass over all of them gives.  An
+    appended batch therefore costs only its own records.  :meth:`schema`
+    returns the previous call's object while the result is unchanged (spec
+    order included), so what is cached under that object stays findable.
+    """
+
+    __slots__ = ("overrides", "dropped", "include_duration", "seen", "any_records", "_schema")
+
+    def __init__(
+        self,
+        nominal_overrides: Iterable[str] = DEFAULT_NOMINAL_OVERRIDES,
+        include_duration: bool = True,
+        excluded: Iterable[str] = DEFAULT_EXCLUDED_FEATURES,
+    ) -> None:
+        self.overrides = frozenset(nominal_overrides)
+        self.dropped = frozenset(excluded)
+        self.include_duration = include_duration
+        #: Feature name -> every value so far is numeric, in first-occurrence order.
+        self.seen: dict[str, bool] = {}
+        self.any_records = False
+        self._schema: FeatureSchema | None = None
+
+    def add(self, records: Iterable[ExecutionRecord]) -> None:
+        """Fold in records that come after every record folded in so far."""
+        dropped = self.dropped
+        seen = self.seen
+        any_records = False
+        for record in records:
+            any_records = True
+            for name, value in record.features.items():
+                if name in dropped:
+                    continue
+                if value is None:
+                    seen.setdefault(name, True)
+                    continue
+                numeric = _value_is_numeric(value)
+                seen[name] = seen.get(name, True) and numeric
+        self.any_records = self.any_records or any_records
+
+    def schema(self) -> FeatureSchema:
+        """The schema of every record folded in so far."""
+        schema = FeatureSchema()
+        for name, numeric in self.seen.items():
+            if name in self.overrides:
+                kind = FeatureKind.NOMINAL
+            else:
+                kind = FeatureKind.NUMERIC if numeric else FeatureKind.NOMINAL
+            schema.add(name, kind)
+        if self.include_duration and self.any_records:
+            schema.add(PERFORMANCE_METRIC, FeatureKind.NUMERIC)
+        previous = self._schema
+        if previous is not None and list(previous.specs.items()) == list(schema.specs.items()):
+            return previous
+        self._schema = schema
+        return schema
+
+
 def infer_schema(
     records: Sequence[ExecutionRecord] | Iterable[ExecutionRecord],
     nominal_overrides: Iterable[str] = DEFAULT_NOMINAL_OVERRIDES,
@@ -139,28 +201,6 @@ def infer_schema(
     :param excluded: features dropped from the schema entirely (provenance
         stamps by default; see :data:`DEFAULT_EXCLUDED_FEATURES`).
     """
-    overrides = set(nominal_overrides)
-    dropped = frozenset(excluded)
-    seen: dict[str, bool] = {}
-    any_records = False
-    for record in records:
-        any_records = True
-        for name, value in record.features.items():
-            if name in dropped:
-                continue
-            if value is None:
-                seen.setdefault(name, True)
-                continue
-            numeric = _value_is_numeric(value)
-            seen[name] = seen.get(name, True) and numeric
-
-    schema = FeatureSchema()
-    for name, numeric in seen.items():
-        if name in overrides:
-            kind = FeatureKind.NOMINAL
-        else:
-            kind = FeatureKind.NUMERIC if numeric else FeatureKind.NOMINAL
-        schema.add(name, kind)
-    if include_duration and any_records:
-        schema.add(PERFORMANCE_METRIC, FeatureKind.NUMERIC)
-    return schema
+    fold = SchemaFold(nominal_overrides, include_duration, excluded)
+    fold.add(records)
+    return fold.schema()

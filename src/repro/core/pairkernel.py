@@ -37,6 +37,7 @@ asserts on randomized logs.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import compress, repeat
 from operator import add, and_, eq, gt, le, lt, or_, sub
 from random import Random
@@ -532,6 +533,7 @@ def iter_candidate_batches(
     salt: int | None = None,
     limit: int = 0,
     batch_size: int = CANDIDATE_BATCH,
+    since: int = 0,
 ) -> Iterator[tuple[list[int], list[int]]]:
     """Candidate ``(first, second)`` index arrays, one bounded batch at a time.
 
@@ -541,6 +543,13 @@ def iter_candidate_batches(
     enumeration with the :func:`pair_is_kept` rule (vectorised: the CRC
     state of the first id is computed once per row and folded with every
     second id at C level), so the full product is never materialised.
+
+    Only candidates that touch a row at or past ``since`` are enumerated,
+    in the same order: what an enumeration over the block's first
+    ``since`` rows lacks once the block has grown.  Groups list their rows
+    in ascending order (the block appends rows in order), so each group's
+    new rows are its tail; an old row pairs with the tail only.  The
+    default ``since=0`` enumerates every candidate.
     """
     first_batch: list[int] = []
     second_batch: list[int] = []
@@ -549,9 +558,16 @@ def iter_candidate_batches(
         size = len(group)
         if size < 2:
             continue
+        split = bisect_left(group, since)
+        if split == size:
+            continue
         members = list(group)
+        news = members[split:]
         for position, row in enumerate(members):
-            seconds = members[:position] + members[position + 1 :]
+            if position < split:
+                seconds = news
+            else:
+                seconds = members[:position] + members[position + 1 :]
             if salt is not None:
                 state = crc32(id_bytes[row], salt)
                 kept = map(

@@ -513,6 +513,7 @@ def iter_evaluated_batches(
     workers: int = 1,
     batch_size: int = CANDIDATE_BATCH,
     pool: ShardPool | None = None,
+    since: int = 0,
 ) -> Iterator[tuple[list[int], list[int], bytearray]]:
     """Related-pair batches, serial or process-sharded — same bytes either way.
 
@@ -521,9 +522,13 @@ def iter_evaluated_batches(
     bounded submission window and the results are yielded strictly in
     submission order; otherwise each batch is evaluated inline.  Empty
     batches are filtered here, after the merge, so the yielded stream is
-    identical across paths.
+    identical across paths.  ``since`` limits the candidates to those that
+    touch a row at or past it
+    (:func:`~repro.core.pairkernel.iter_candidate_batches`).
     """
-    batches = iter_candidate_batches(kernel.block, groups, salt, limit, batch_size)
+    batches = iter_candidate_batches(
+        kernel.block, groups, salt, limit, batch_size, since=since
+    )
     if workers < 2 or _fork_context() is None:
         for firsts, seconds in batches:
             result = evaluate_candidate_batch(kernel, query, firsts, seconds)

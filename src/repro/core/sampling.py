@@ -21,41 +21,41 @@ labels and seed — never on interleaving between classes.
 from __future__ import annotations
 
 import random
+from itertools import compress
+from operator import not_
 from typing import Sequence
-
-from repro.core.examples import Label
 
 
 def stratified_keep_indices(
-    labels: Sequence[Label],
+    observed: Sequence[int],
     sample_size: int,
     rng: random.Random | None = None,
 ) -> list[int] | None:
     """Indices of an exact-size class-balanced sample, in original order.
 
-    Per class the target is half of ``sample_size`` (OBSERVED receives the
-    remainder of an odd size); classes smaller than their target are kept
-    whole without redistributing the slack, so the result can be smaller
-    than ``sample_size`` when one class is scarce — exactly the expectation
-    of the paper's capped keep probability.
+    ``observed`` holds one flag per item, ``1`` for an item labeled
+    OBSERVED and ``0`` for EXPECTED (a ``bytes``-like, as
+    :func:`~repro.core.examples.observed_flags` makes); the classes are
+    split with ``compress`` over it at C level.  Per class the target is
+    half of ``sample_size`` (OBSERVED receives the remainder of an odd
+    size); classes smaller than their target are kept whole without
+    redistributing the slack, so the result can be smaller than
+    ``sample_size`` when one class is scarce — exactly the expectation of
+    the paper's capped keep probability.
 
     :returns: sorted kept indices, or ``None`` when everything is kept
-        (``len(labels) <= sample_size``).
+        (``len(observed) <= sample_size``).
     """
     if sample_size <= 0:
         raise ValueError("sample_size must be positive")
     rng = rng if rng is not None else random.Random(0)
-    if len(labels) <= sample_size:
+    if len(observed) <= sample_size:
         return None
     half = sample_size // 2
-    targets = {Label.OBSERVED: sample_size - half, Label.EXPECTED: half}
-    by_class: dict[Label, list[int]] = {Label.OBSERVED: [], Label.EXPECTED: []}
-    for index, label in enumerate(labels):
-        by_class[label].append(index)
+    rows = range(len(observed))
     kept: list[int] = []
-    for label in (Label.OBSERVED, Label.EXPECTED):
-        indices = by_class[label]
-        target = targets[label]
+    for flags, target in ((observed, sample_size - half), (map(not_, observed), half)):
+        indices = list(compress(rows, flags))
         if len(indices) <= target:
             kept.extend(indices)
         else:

@@ -78,6 +78,17 @@ class TestLRUCache:
         assert cache.stats().hits == 0
         assert cache.stats().misses == 0
 
+    def test_replace_if_swaps_values_in_place(self):
+        cache = LRUCache(capacity=3)
+        for key, value in (("a1", 1), ("b", 2), ("a2", 3)):
+            cache.put(key, value)
+        assert cache.replace_if(lambda key: key.startswith("a"), lambda value: -value) == 2
+        assert [(key, cache[key]) for key in cache] == [("a1", -1), ("b", 2), ("a2", -3)]
+        assert cache.stats().hits == cache.stats().misses == 0
+        # Recency is kept: "a1" is still the least recently used.
+        cache.put("c", 4)
+        assert "a1" not in cache
+
     def test_clear_keeps_counters(self):
         cache = LRUCache(capacity=2)
         cache.put("a", 1)

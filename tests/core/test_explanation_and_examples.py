@@ -18,6 +18,7 @@ from repro.core.examples import (
     construct_training_matrix,
     find_record,
     iter_related_pairs,
+    observed_flags,
     records_for_query,
 )
 from repro.core.explanation import (
@@ -30,6 +31,7 @@ from repro.core.pairs import IS_SAME_SUFFIX, compute_pair_features
 from repro.core.pxql.ast import Comparison, Operator, Predicate, TRUE_PREDICATE
 from repro.core.pxql.parser import parse_predicate
 from repro.core.queries import why_last_task_faster, why_slower_despite_same_num_instances
+from repro.core.sampling import stratified_keep_indices
 from repro.exceptions import ExplanationError
 from repro.ml.matrix import bits_to_flags
 
@@ -39,7 +41,12 @@ from tests.oracles.metricref import (
     similar_examples_reference,
     tally_reference,
 )
-from tests.oracles.pairref import balanced_sample, class_counts, listed_matrix
+from tests.oracles.pairref import (
+    balanced_sample,
+    class_counts,
+    listed_matrix,
+    stratified_keep_indices_reference,
+)
 
 
 def example(label: Label, **values) -> TrainingExample:
@@ -355,6 +362,21 @@ class TestBalancedSampling:
     def test_invalid_sample_size(self):
         with pytest.raises(ValueError):
             balanced_sample(self._items(1, 1), 0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        labels=st.lists(st.sampled_from([Label.OBSERVED, Label.EXPECTED]), max_size=300),
+        sample_size=st.integers(1, 320),
+        seed=st.integers(0, 2**32),
+    )
+    def test_flag_split_keeps_the_label_loop_indices(self, labels, sample_size, seed):
+        """Splitting the classes with ``compress`` over the observed flags
+        keeps exactly the indices the label-hashing loop kept, drawing the
+        same randomness."""
+        rng, reference_rng = random.Random(seed), random.Random(seed)
+        kept = stratified_keep_indices(observed_flags(labels), sample_size, rng)
+        assert kept == stratified_keep_indices_reference(labels, sample_size, reference_rng)
+        assert rng.getstate() == reference_rng.getstate()
 
     @settings(max_examples=20, deadline=None)
     @given(observed=st.integers(0, 500), expected=st.integers(0, 500),

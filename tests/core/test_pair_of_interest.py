@@ -53,7 +53,7 @@ SPECIAL_DURATIONS = [0.0, 0.0, 2.0, 2.0, float("nan"), float("inf")]
 
 #: (observed, expected) clauses.  Under ``GT`` a NaN duration makes pairs
 #: OBSERVED with a NaN contrast; ``SIM`` pairs an infinite duration with a
-#: finite one (an infinite or a zero ratio, and ``math.log(0.0)`` raises);
+#: finite one (an infinite or a zero ratio, both ranked infinite);
 #: ``size_compare`` leaves durations unconstrained; the last observes
 #: nothing, so the search finds no pair.
 CLAUSES = [
@@ -96,7 +96,7 @@ def outcome(call) -> tuple:
     """A call's pair, or its error's type and text."""
     try:
         return ("pair", call())
-    except (ExplanationError, ValueError) as error:
+    except ExplanationError as error:
         return (type(error).__name__, str(error))
 
 
@@ -135,14 +135,20 @@ class TestHelper:
         assert index == 0 and best == abs(math.log(1e-9 / 1.0))
         assert highest_contrast(records, [], []) == (-1, -1.0)
 
-    def test_a_zero_ratio_raises_like_the_loop(self):
+    def test_a_zero_ratio_ranks_infinite_like_its_reverse(self):
         records = [
             JobRecord(job_id="a", features={}, duration=2.0),
             JobRecord(job_id="b", features={}, duration=float("inf")),
+            JobRecord(job_id="c", features={}, duration=float("nan")),
         ]
         assert highest_contrast(records, [1], [0]) == (0, math.inf)
-        with pytest.raises(ValueError):
-            highest_contrast(records, [0], [1])
+        # Finite over infinite: a zero ratio, which ``math.log`` rejects.
+        assert highest_contrast(records, [0], [1]) == (0, math.inf)
+        # Tied at infinity, the first pair wins, in either order; NaN
+        # ratios (infinite over infinite, NaN durations) never win.
+        assert highest_contrast(records, [1, 2, 0, 1], [1, 0, 1, 0]) == (2, math.inf)
+        assert highest_contrast(records, [1, 1, 0], [1, 0, 1]) == (1, math.inf)
+        assert highest_contrast(records, [0], [1], math.inf) == (-1, math.inf)
 
 
 class TestSearchAgainstReference:
@@ -173,10 +179,11 @@ class TestSearchAgainstReference:
         assert outcome(lambda: matrix.pair_of_interest(query)) == expected
 
     def test_the_cases_reach_every_outcome(self):
-        """The randomized cases pick pairs, raise both errors, and pick an
-        infinite contrast past NaN ones."""
+        """The randomized cases pick pairs, find none, and pick an infinite
+        contrast past NaN ones: infinite over finite, and finite over
+        infinite (a zero ratio)."""
         kinds = set()
-        infinite = False
+        directions = set()
         for seed in SEEDS:
             log = special_log(seed)
             query = pick_query(seed)
@@ -185,11 +192,11 @@ class TestSearchAgainstReference:
             kinds.add(result[0])
             if result[0] == "pair":
                 durations = {job.job_id: job.duration for job in log.jobs}
-                first, second = result[1]
-                infinite |= math.isinf(durations[first]) and not math.isinf(
-                    durations[second])
-        assert kinds == {"pair", "ValueError", "ExplanationError"}
-        assert infinite
+                first, second = (durations[entity] for entity in result[1])
+                if math.isinf(first) != math.isinf(second):
+                    directions.add("infinite first" if math.isinf(first) else "zero ratio")
+        assert kinds == {"pair", "ExplanationError"}
+        assert directions == {"infinite first", "zero ratio"}
 
     @pytest.mark.parametrize("seed", SEEDS[:4])
     def test_sharded_matrix_pick(self, seed, monkeypatch):

@@ -1,10 +1,10 @@
 """Session cache coherence over a live, growing log.
 
 :class:`~repro.core.api.PerfXplainSession` tracks the log's per-kind
-mutation snapshot and, on append, drops only the cache entries whose
-clause signature touches the grown kind — a task append must not evict
-job-level work, and vice versa.  In-place mutation moves the kind's
-epoch and wipes everything.  The acceptance bar: a warm session that
+mutation snapshot and, on append, extends the grown kind's matrices and
+drops its explanations — a task append must not touch job-level work,
+and vice versa.  In-place mutation moves the kind's epoch and wipes
+everything.  The acceptance bar: a warm session that
 lived through appends answers bit-identically to a cold session over a
 freshly-built log with the same records.
 """
@@ -59,20 +59,26 @@ class TestAppendInvalidation:
         log, tail_jobs, tail_tasks = split_log(full_log, 12)
         session = PerfXplainSession(log, seed=3)
         job_matrix = session.training_matrix(why_slower_despite_same_num_instances())
-        session.training_matrix(same_job_task_query())
+        task_before = session.training_matrix(same_job_task_query())
         log.extend(tasks=tail_tasks[:3])
         # The next query syncs: only the task kind was touched.
         assert (
             session.training_matrix(why_slower_despite_same_num_instances())
             is job_matrix
         )
+        # The stale task matrix is held as its related-pair stream alone.
+        task_key = session._clause_signature(same_job_task_query())
+        assert session._matrix_cache[task_key] is task_before.stream
         assert session.invalidation_stats() == {
             "append_invalidations": 1,
             "full_invalidations": 0,
         }
-        # The task-level matrix was dropped and rebuilt over the grown log.
+        # The task-level matrix stayed cached (a hit) and was extended over
+        # the grown log: a new matrix, no further miss.
         task_matrix = session.training_matrix(same_job_task_query())
-        assert session.cache_stats()["matrices"].misses == 3
+        assert task_matrix is not task_before
+        assert task_matrix.stream.count == len(log.tasks)
+        assert session.cache_stats()["matrices"].misses == 2
 
     def test_job_append_drops_job_caches(self, full_log):
         log, tail_jobs, _ = split_log(full_log, 12)

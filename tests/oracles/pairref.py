@@ -21,7 +21,11 @@ moved into one C-level helper (:func:`repro.core.examples.highest_contrast`):
 :func:`find_pair_of_interest_reference` and :func:`find_cross_pair_reference`
 walk the related pairs one at a time, and
 ``tests/core/test_pair_of_interest.py`` checks the search, the diff and the
-training matrix's recorded pick against them.
+training matrix's pick against them.  Both loops rank a zero duration ratio
+(a finite duration over an infinite one) infinite, as the helper does,
+where ``math.log`` used to raise.  :func:`stratified_keep_indices_reference`
+keeps the label-hashing class split the sampler replaced with ``compress``
+over observed flags.
 
 Two deliberate behaviours are *shared* with the live path rather than
 frozen, because they changed in the same refactor: the order-independent
@@ -53,6 +57,7 @@ from repro.core.examples import (
     _blocking_features,
     _PairFeatureMatrix,
     iter_related_pairs,
+    observed_flags,
     pair_kernel_for,
     related_index_batches,
     validate_query_features,
@@ -165,7 +170,8 @@ def find_pair_of_interest_reference(
             continue
         d1 = max(durations[first.entity_id], 1e-9)
         d2 = max(durations[second.entity_id], 1e-9)
-        contrast = abs(math.log(d1 / d2))
+        ratio = d1 / d2
+        contrast = abs(math.log(ratio)) if ratio else math.inf
         if contrast > best_contrast:
             best_contrast = contrast
             best = (first.entity_id, second.entity_id)
@@ -210,7 +216,8 @@ def find_cross_pair_reference(
                 continue  # slower member must come from the regressed run
             d1 = max(records[first].duration, 1e-9)
             d2 = max(records[second].duration, 1e-9)
-            contrast = abs(math.log(d1 / d2))
+            ratio = d1 / d2
+            contrast = abs(math.log(ratio)) if ratio else math.inf
             if contrast > best_contrast:
                 best_contrast = contrast
                 best = (records[first].entity_id, records[second].entity_id)
@@ -294,10 +301,40 @@ def balanced_sample(
     rng = rng if rng is not None else random.Random(0)
     label_of = label_of if label_of is not None else label_attribute
     labels = [label_of(item) for item in items]
-    kept = stratified_keep_indices(labels, sample_size, rng)
+    kept = stratified_keep_indices(observed_flags(labels), sample_size, rng)
     if kept is None:
         return list(items)
     return [items[index] for index in kept]
+
+
+def stratified_keep_indices_reference(
+    labels: Sequence[Label],
+    sample_size: int,
+    rng: random.Random | None = None,
+) -> list[int] | None:
+    """The class split of :func:`repro.core.sampling.stratified_keep_indices`
+    as it ran before it split observed flags with ``compress``: a Python
+    loop that hashes every label into a per-class index list."""
+    if sample_size <= 0:
+        raise ValueError("sample_size must be positive")
+    rng = rng if rng is not None else random.Random(0)
+    if len(labels) <= sample_size:
+        return None
+    half = sample_size // 2
+    targets = {Label.OBSERVED: sample_size - half, Label.EXPECTED: half}
+    by_class: dict[Label, list[int]] = {Label.OBSERVED: [], Label.EXPECTED: []}
+    for index, label in enumerate(labels):
+        by_class[label].append(index)
+    kept: list[int] = []
+    for label in (Label.OBSERVED, Label.EXPECTED):
+        indices = by_class[label]
+        target = targets[label]
+        if len(indices) <= target:
+            kept.extend(indices)
+        else:
+            kept.extend(rng.sample(indices, target))
+    kept.sort()
+    return kept
 
 
 def class_counts(

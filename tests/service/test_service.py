@@ -6,6 +6,8 @@ import threading
 import pytest
 
 from repro.core.api import PerfXplainSession
+from repro.logs.records import JobRecord
+from repro.logs.store import ExecutionLog
 from repro.service import (
     BatchRequest,
     BatchResponse,
@@ -112,6 +114,31 @@ class TestSingleQuery:
         response = service.execute(request)
         assert isinstance(response, ErrorResponse)
         assert response.code == ErrorCode.UNKNOWN_TECHNIQUE
+
+    def test_finite_over_infinite_duration_is_answered(self):
+        """A ``?`` question whose first OBSERVED pair sets a finite duration
+        over an infinite one (a zero duration ratio, which ``math.log``
+        rejects) is answered: the pair ranks infinite, like its reverse,
+        and the first of the tied pairs wins."""
+        log = ExecutionLog(jobs=[
+            JobRecord(job_id="fast", features={"script": "a.pig", "size": 1}, duration=2.0),
+            JobRecord(
+                job_id="stuck", features={"script": "a.pig", "size": 2},
+                duration=float("inf"),
+            ),
+        ])
+        catalog = LogCatalog()
+        catalog.register("two", log)
+        query = """
+            FOR JOBS ?, ?
+            DESPITE script_isSame = T
+            OBSERVED duration_compare = SIM
+            EXPECTED duration_compare = GT
+        """
+        with PerfXplainService(catalog) as service:
+            response = service.execute(QueryRequest(log="two", query=query, width=1))
+        assert isinstance(response, QueryResponse), response
+        assert (response.entry.first_id, response.entry.second_id) == ("fast", "stuck")
 
     def test_closed_service_refuses_work(self, catalog):
         service = PerfXplainService(catalog)
